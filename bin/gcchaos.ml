@@ -792,7 +792,7 @@ let storm ~server_exe ~seed =
 (* ------------------------------------------------------------ partition *)
 
 (* The replica-set drill: three supervised replicas (a {!Gc_resil.Fleet})
-   behind one multi-endpoint resilient client, and per seed every
+   behind one resilient client over the set, and per seed every
    replica is hurt a different way — one SIGKILLed (the supervisor must
    restart it, the client must fail over), one SIGSTOP-paused (alive but
    silent: only a hedged request gets an answer before any timeout), and
@@ -868,7 +868,7 @@ let manifest_names_replica path name =
           | _ -> Error "manifest: no replica field"))
 
 let partition ~server_exe ~requests ~seed =
-  let module Multi = Gc_resil.Resilient_client.Multi in
+  let module Rc = Gc_resil.Resilient_client in
   let module Pool = Gc_resil.Endpoint_pool in
   let rng = Rng.create seed in
   let s = derive_partition rng in
@@ -946,22 +946,21 @@ let partition ~server_exe ~requests ~seed =
         Client.Unix_path (if i = s.p_degrade then proxy_sock else sock i))
   in
   let mc =
-    Multi.create ~timeout:2.0
+    Rc.create_set ~timeout:2.0
       ~retry:
         { Retry.default with max_attempts = 8; base_delay = 0.05; max_delay = 0.4 }
       ~hedge:
         {
-          Multi.default_hedge with
+          Rc.default_hedge with
           min_delay = partition_hedge_delay;
           max_delay = partition_hedge_delay;
           initial_delay = partition_hedge_delay;
         }
       ~pool_config:
         {
-          Pool.default_config with
           (* Rotation, not p2c: routing order must be a function of the
              request order alone for the report to reproduce. *)
-          p2c = false;
+          Pool.p2c = false;
           (* Tight re-probe backoff so the killed replica is due again
              within the drill's own timescale. *)
           reprobe_after = 0.05;
@@ -987,14 +986,14 @@ let partition ~server_exe ~requests ~seed =
          and the client's out-of-band re-probe must return the Suspect
          endpoint to Up — the recovery half of the failover story. *)
       await_healthy watches.(s.p_kill) 2;
-      Multi.probe mc;
-      recovered := Pool.state (Multi.pool mc) s.p_kill = Pool.Up;
+      Rc.probe mc;
+      recovered := Pool.state (Rc.pool mc) s.p_kill = Pool.Up;
       Atomic.set degraded true;
-      Multi.close mc
+      Rc.close mc
     end;
     if i = s.p_degrade_from + s.p_degrade_len then begin
       Atomic.set degraded false;
-      Multi.close mc
+      Rc.close mc
     end;
     let req =
       if i mod 3 = 0 then
@@ -1008,19 +1007,19 @@ let partition ~server_exe ~requests ~seed =
       else Json.Obj [ ("op", Json.String "health") ]
     in
     dbg "partition request %d" i;
-    (match Multi.request mc req with
+    (match Rc.request mc req with
     | Ok reply -> if is_ok_reply reply then incr oks
     | Error f ->
         incr failures;
         Printf.eprintf "gcchaos: partition seed %d request %d failed: %s\n%!"
           seed i
-          (Gc_resil.Resilient_client.string_of_failure f));
+          (Rc.string_of_failure f));
     incr settled
   done;
-  let failovers = Multi.failovers mc
-  and hedges = Multi.hedges mc
-  and hedge_wins = Multi.hedge_wins mc in
-  Multi.close mc;
+  let failovers = Rc.failovers mc
+  and hedges = Rc.hedges mc
+  and hedge_wins = Rc.hedge_wins mc in
+  Rc.close mc;
   Gc_fault.Net_proxy.stop proxy;
   dbg "partition draining";
   Gc_exec.Cancel.request stop ~reason:"partition drill complete";
@@ -1145,128 +1144,61 @@ let default_server () =
   | Some p -> p
   | None -> "gcserved"
 
-let run_drill seeds server requests report_path verify_repro =
-  if requests < 16 then
-    Cli_common.fail_usage "--requests must be >= 16 (the schedule needs room)";
+(* What differs between the three drill commands.  Everything else —
+   seed parsing, the server lookup, the per-seed run, the --verify-repro
+   rerun and compare, the combined report, and the exit — is
+   [run_drills]. *)
+type drill_spec = {
+  name : string;  (** Subcommand, and the noun of its stderr lines. *)
+  doc : string;
+  verb : string;  (** Progress line: "gcchaos: VERB seed N". *)
+  seed_flags : string list;
+  default_seeds : int list;
+  seed_derives : string;  (** What one seed fixes, for the help text. *)
+  requests : (int * int) option;  (** [--requests] default and minimum. *)
+  tool : string;  (** The combined report's "tool". *)
+  key : string;  (** The combined report's list of per-seed reports. *)
+  run : server_exe:string -> requests:int -> seed:int -> Json.t * bool;
+}
+
+let run_drills spec seeds server requests report_path verify_repro =
+  (match (spec.requests, requests) with
+  | Some (_, minimum), Some n when n < minimum ->
+      Cli_common.fail_usage
+        "--requests must be >= %d (the schedule needs room)" minimum
+  | _ -> ());
   let seeds =
     match seeds with
     | Some s -> parse_seeds s
     | None -> (
         match Sys.getenv_opt "GC_CHAOS_SEEDS" with
         | Some s -> parse_seeds s
-        | None -> [ 1; 2; 3 ])
+        | None -> spec.default_seeds)
   in
   let server_exe =
     match server with Some p -> p | None -> default_server ()
   in
   if not (Sys.file_exists server_exe) then
     Cli_common.fail_usage "server executable %s not found (--server)" server_exe;
+  let run seed =
+    spec.run ~server_exe ~requests:(Option.value requests ~default:0) ~seed
+  in
   let failures = ref 0 in
   let reports =
     List.map
       (fun seed ->
-        Printf.eprintf "gcchaos: drilling seed %d\n%!" seed;
-        let report, ok = drill ~server_exe ~requests ~seed in
+        Printf.eprintf "gcchaos: %s seed %d\n%!" spec.verb seed;
+        let report, ok = run seed in
         if not ok then incr failures;
         if verify_repro then begin
-          let again, _ = drill ~server_exe ~requests ~seed in
+          let again, _ = run seed in
           if Json.to_string again <> Json.to_string report then begin
             Printf.eprintf
-              "gcchaos: seed %d is NOT reproducible\n  first:  %s\n  second: %s\n%!"
-              seed (Json.to_string report) (Json.to_string again);
-            incr failures
-          end
-        end;
-        report)
-      seeds
-  in
-  let combined =
-    Json.Obj
-      [
-        ("tool", Json.String "gcchaos");
-        ("requests", Json.Int requests);
-        ("verify_repro", Json.Bool verify_repro);
-        ("drills", Json.Array reports);
-      ]
-  in
-  print_endline (Json.to_string combined);
-  (match report_path with
-  | Some path -> Gc_obs.Export.write_json_atomic path combined
-  | None -> ());
-  if !failures > 0 then
-    Cli_common.fail_model "%d drill(s) violated invariants" !failures;
-  Cli_common.ok
-
-let drill_cmd =
-  Cmd.v
-    (Cmd.info "drill"
-       ~doc:
-         "Run deterministic chaos drills: crash, pause, corrupt, tear — \
-          then assert every recovery invariant")
-    Term.(
-      const run_drill
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "seeds" ] ~docv:"N,N,..."
-              ~doc:
-                "Drill seeds (default: $(b,GC_CHAOS_SEEDS) from the \
-                 environment, else 1,2,3).  Each seed derives an \
-                 independent fault schedule.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "server" ] ~docv:"EXE"
-              ~doc:
-                "The gcserved executable to supervise (default: the \
-                 gcserved next to this binary).")
-      $ Arg.(
-          value
-          & opt int 18
-          & info [ "requests" ] ~docv:"N"
-              ~doc:"Direct requests per drill (minimum 16).")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "report" ] ~docv:"FILE"
-              ~doc:"Also write the combined JSON report to $(docv).")
-      $ Arg.(
-          value & flag
-          & info [ "verify-repro" ]
-              ~doc:
-                "Run every seed twice and require byte-identical \
-                 reports — the determinism contract, enforced."))
-
-let run_storm seeds server report_path verify_repro =
-  let seeds =
-    match seeds with
-    | Some s -> parse_seeds s
-    | None -> (
-        match Sys.getenv_opt "GC_CHAOS_SEEDS" with
-        | Some s -> parse_seeds s
-        | None -> [ 1 ])
-  in
-  let server_exe =
-    match server with Some p -> p | None -> default_server ()
-  in
-  if not (Sys.file_exists server_exe) then
-    Cli_common.fail_usage "server executable %s not found (--server)" server_exe;
-  let failures = ref 0 in
-  let reports =
-    List.map
-      (fun seed ->
-        Printf.eprintf "gcchaos: storming seed %d\n%!" seed;
-        let report, ok = storm ~server_exe ~seed in
-        if not ok then incr failures;
-        if verify_repro then begin
-          let again, _ = storm ~server_exe ~seed in
-          if Json.to_string again <> Json.to_string report then begin
-            Printf.eprintf
-              "gcchaos: storm seed %d is NOT reproducible\n\
+              "gcchaos: %s seed %d is NOT reproducible\n\
               \  first:  %s\n\
               \  second: %s\n\
                %!"
-              seed (Json.to_string report) (Json.to_string again);
+              spec.name seed (Json.to_string report) (Json.to_string again);
             incr failures
           end
         end;
@@ -1275,36 +1207,50 @@ let run_storm seeds server report_path verify_repro =
   in
   let combined =
     Json.Obj
-      [
-        ("tool", Json.String "gcchaos storm");
-        ("verify_repro", Json.Bool verify_repro);
-        ("storms", Json.Array reports);
-      ]
+      ([ ("tool", Json.String spec.tool) ]
+      @ (match requests with
+        | Some n -> [ ("requests", Json.Int n) ]
+        | None -> [])
+      @ [
+          ("verify_repro", Json.Bool verify_repro);
+          (spec.key, Json.Array reports);
+        ])
   in
   print_endline (Json.to_string combined);
   (match report_path with
   | Some path -> Gc_obs.Export.write_json_atomic path combined
   | None -> ());
   if !failures > 0 then
-    Cli_common.fail_model "%d storm(s) violated invariants" !failures;
+    Cli_common.fail_model "%d %s seed(s) violated invariants" !failures
+      spec.name;
   Cli_common.ok
 
-let storm_cmd =
+let drill_cmd spec =
+  let seeds_list = String.concat "," (List.map string_of_int spec.default_seeds) in
+  let requests =
+    match spec.requests with
+    | None -> Term.const None
+    | Some (default, minimum) ->
+        Term.(
+          const Option.some
+          $ Arg.(
+              value & opt int default
+              & info [ "requests" ] ~docv:"N"
+                  ~doc:(Printf.sprintf "Requests per drill (minimum %d)." minimum)))
+  in
   Cmd.v
-    (Cmd.info "storm"
-       ~doc:
-         "Run the metastability drill: prove retry storms collapse a \
-          naive server and that budgets + sojourn shedding recover it")
+    (Cmd.info spec.name ~doc:spec.doc)
     Term.(
-      const run_storm
+      const (run_drills spec)
       $ Arg.(
           value
           & opt (some string) None
-          & info [ "seeds"; "seed" ] ~docv:"N,N,..."
+          & info spec.seed_flags ~docv:"N,N,..."
               ~doc:
-                "Storm seeds (default: $(b,GC_CHAOS_SEEDS) from the \
-                 environment, else 1).  Each seed derives the server's \
-                 hint jitter and every client's backoff schedule.")
+                (Printf.sprintf
+                   "Seeds (default: $(b,GC_CHAOS_SEEDS) from the \
+                    environment, else %s).  Each seed derives %s."
+                   seeds_list spec.seed_derives))
       $ Arg.(
           value
           & opt (some string) None
@@ -1312,6 +1258,7 @@ let storm_cmd =
               ~doc:
                 "The gcserved executable to supervise (default: the \
                  gcserved next to this binary).")
+      $ requests
       $ Arg.(
           value
           & opt (some string) None
@@ -1324,101 +1271,53 @@ let storm_cmd =
                 "Run every seed twice and require byte-identical \
                  reports — the determinism contract, enforced."))
 
-let run_partition seeds server requests report_path verify_repro =
-  if requests < 24 then
-    Cli_common.fail_usage "--requests must be >= 24 (the schedule needs room)";
-  let seeds =
-    match seeds with
-    | Some s -> parse_seeds s
-    | None -> (
-        match Sys.getenv_opt "GC_CHAOS_SEEDS" with
-        | Some s -> parse_seeds s
-        | None -> [ 1; 2; 3 ])
-  in
-  let server_exe =
-    match server with Some p -> p | None -> default_server ()
-  in
-  if not (Sys.file_exists server_exe) then
-    Cli_common.fail_usage "server executable %s not found (--server)" server_exe;
-  let failures = ref 0 in
-  let reports =
-    List.map
-      (fun seed ->
-        Printf.eprintf "gcchaos: partitioning seed %d\n%!" seed;
-        let report, ok = partition ~server_exe ~requests ~seed in
-        if not ok then incr failures;
-        if verify_repro then begin
-          let again, _ = partition ~server_exe ~requests ~seed in
-          if Json.to_string again <> Json.to_string report then begin
-            Printf.eprintf
-              "gcchaos: partition seed %d is NOT reproducible\n\
-              \  first:  %s\n\
-              \  second: %s\n\
-               %!"
-              seed (Json.to_string report) (Json.to_string again);
-            incr failures
-          end
-        end;
-        report)
-      seeds
-  in
-  let combined =
-    Json.Obj
-      [
-        ("tool", Json.String "gcchaos partition");
-        ("requests", Json.Int requests);
-        ("verify_repro", Json.Bool verify_repro);
-        ("partitions", Json.Array reports);
-      ]
-  in
-  print_endline (Json.to_string combined);
-  (match report_path with
-  | Some path -> Gc_obs.Export.write_json_atomic path combined
-  | None -> ());
-  if !failures > 0 then
-    Cli_common.fail_model "%d partition drill(s) violated invariants" !failures;
-  Cli_common.ok
-
-let partition_cmd =
-  Cmd.v
-    (Cmd.info "partition"
-       ~doc:
-         "Run the replica-set drill: kill, pause, and degrade one \
-          replica each of a supervised fleet of three, and prove the \
-          multi-endpoint client's failover and hedging hide all of it")
-    Term.(
-      const run_partition
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "seeds" ] ~docv:"N,N,..."
-              ~doc:
-                "Drill seeds (default: $(b,GC_CHAOS_SEEDS) from the \
-                 environment, else 1,2,3).  Each seed derives the victim \
-                 assignments and fault windows.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "server" ] ~docv:"EXE"
-              ~doc:
-                "The gcserved executable to supervise (default: the \
-                 gcserved next to this binary).")
-      $ Arg.(
-          value
-          & opt int 26
-          & info [ "requests" ] ~docv:"N"
-              ~doc:"Requests per drill (minimum 24).")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "report" ] ~docv:"FILE"
-              ~doc:"Also write the combined JSON report to $(docv).")
-      $ Arg.(
-          value & flag
-          & info [ "verify-repro" ]
-              ~doc:
-                "Run every seed twice and require byte-identical \
-                 reports — the determinism contract, enforced."))
+let drills =
+  [
+    {
+      name = "drill";
+      doc =
+        "Run deterministic chaos drills: crash, pause, corrupt, tear — \
+         then assert every recovery invariant";
+      verb = "drilling";
+      seed_flags = [ "seeds" ];
+      default_seeds = [ 1; 2; 3 ];
+      seed_derives = "an independent fault schedule";
+      requests = Some (18, 16);
+      tool = "gcchaos";
+      key = "drills";
+      run = drill;
+    };
+    {
+      name = "storm";
+      doc =
+        "Run the metastability drill: prove retry storms collapse a \
+         naive server and that budgets + sojourn shedding recover it";
+      verb = "storming";
+      seed_flags = [ "seeds"; "seed" ];
+      default_seeds = [ 1 ];
+      seed_derives =
+        "the server's hint jitter and every client's backoff schedule";
+      requests = None;
+      tool = "gcchaos storm";
+      key = "storms";
+      run = (fun ~server_exe ~requests:_ ~seed -> storm ~server_exe ~seed);
+    };
+    {
+      name = "partition";
+      doc =
+        "Run the replica-set drill: kill, pause, and degrade one \
+         replica each of a supervised fleet of three, and prove the \
+         resilient client's failover and hedging hide all of it";
+      verb = "partitioning";
+      seed_flags = [ "seeds" ];
+      default_seeds = [ 1; 2; 3 ];
+      seed_derives = "the victim assignments and fault windows";
+      requests = Some (26, 24);
+      tool = "gcchaos partition";
+      key = "partitions";
+      run = partition;
+    };
+  ]
 
 let () =
   exit
@@ -1426,4 +1325,4 @@ let () =
        (Cmd.group
           (Cmd.info "gcchaos" ~version:"%%VERSION%%"
              ~doc:"Deterministic chaos drills for the gcserved stack")
-          [ drill_cmd; storm_cmd; partition_cmd ]))
+          (List.map drill_cmd drills)))

@@ -714,50 +714,34 @@ let client socket tcp tcp_host op policy k seed workload n universe block_size
   (* The resilient client rides over a supervised restart mid-request:
      classified transport failures (refused/timeout/reset) and overloaded
      sheds retry with jittered backoff; protocol faults and draining
-     replies fail fast.  With --endpoint the multi-endpoint mode adds
-     rotation across the listed replicas, same-attempt failover, and
-     (with --hedge-ms) hedged requests. *)
-  let result =
-    match endpoints with
-    | [] ->
-        let rc =
-          Gc_resil.Resilient_client.create ~timeout ~retry
-            (addr ~socket ~tcp ~tcp_host)
-        in
-        let r = Gc_resil.Resilient_client.request rc request in
-        Gc_resil.Resilient_client.close rc;
-        r
-    | eps ->
-        let module Multi = Gc_resil.Resilient_client.Multi in
-        let hedge =
-          Option.map
-            (fun ms ->
-              let d = Float.of_int ms /. 1000. in
-              {
-                Multi.default_hedge with
-                Multi.min_delay = d;
-                max_delay = d;
-                initial_delay = d;
-              })
-            hedge_ms
-        in
-        let mc =
-          Multi.create ~timeout ~retry ?hedge (List.map parse_endpoint eps)
-        in
-        let r = Multi.request mc request in
-        Multi.close mc;
-        r
+     replies fail fast.  Two or more --endpoint replicas add rotation,
+     same-attempt failover, per-replica breakers, and (with --hedge-ms)
+     hedged requests. *)
+  let module Rc = Gc_resil.Resilient_client in
+  let hedge =
+    Option.map
+      (fun ms ->
+        let d = Float.of_int ms /. 1000. in
+        { Rc.default_hedge with min_delay = d; max_delay = d; initial_delay = d })
+      hedge_ms
   in
+  let addrs =
+    match endpoints with
+    | [] -> [ addr ~socket ~tcp ~tcp_host ]
+    | eps -> List.map parse_endpoint eps
+  in
+  let rc = Rc.create_set ~timeout ~retry ?hedge addrs in
+  let result = Rc.request rc request in
+  Rc.close rc;
   match result with
-  | Error (Gc_resil.Resilient_client.Rejected (kind, message)) ->
+  | Error (Rc.Rejected (kind, message)) ->
       (* The retry policy (or its budget) gave up on a refusal the server
          framed properly; classify it the same way a direct reply is. *)
       Cli_common.fail_runtime "%s %s reply: %s"
         (if retryable_kind kind then "retryable" else "terminal")
         kind message
   | Error failure ->
-      Cli_common.fail_runtime "%s"
-        (Gc_resil.Resilient_client.string_of_failure failure)
+      Cli_common.fail_runtime "%s" (Rc.string_of_failure failure)
   | Ok reply_json when prom -> print_prometheus reply_json
   | Ok reply_json -> (
       if json_only then print_endline (Json.to_string reply_json)

@@ -18,7 +18,6 @@ type config = {
   grace : float;
   retries : int;
   backoff : float;
-  retryable : exn -> bool;
   tick : float;
 }
 
@@ -29,7 +28,6 @@ let default_config () =
     grace = 0.25;
     retries = 1;
     backoff = 0.05;
-    retryable = (function Transient _ -> true | _ -> false);
     tick = 0.002;
   }
 
@@ -97,7 +95,7 @@ let worker config task idx cancel started cell () =
       | exception Cancel.Cancelled reason ->
           Tracer.leave att;
           classify_cancel reason
-      | exception exn when i <= config.retries && config.retryable exn ->
+      | exception Transient _ when i <= config.retries ->
           Tracer.leave att;
           (* Exponential backoff; the deadline clock restarts with the
              attempt, not the sleep. *)

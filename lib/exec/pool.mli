@@ -17,7 +17,7 @@
     hang the grid. *)
 
 exception Transient of string
-(** A retryable task failure.  The default {!config} retries only these. *)
+(** A retryable task failure: the only exception the pool retries. *)
 
 val attempt : unit -> int
 (** 1-based attempt number of the task running on the calling domain; [1]
@@ -35,9 +35,8 @@ type config = {
   grace : float;
       (** Extra seconds after the deadline before an uncooperative task is
           abandoned. *)
-  retries : int;  (** Extra attempts granted to retryable failures. *)
+  retries : int;  (** Extra attempts granted to {!Transient} failures. *)
   backoff : float;  (** Base retry sleep, doubling per attempt. *)
-  retryable : exn -> bool;
   tick : float;  (** Monitor poll interval, seconds. *)
 }
 

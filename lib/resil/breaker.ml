@@ -7,8 +7,6 @@ let state_name = function
   | Open -> "open"
   | Half_open -> "half-open"
 
-let gauge_value = function Closed -> 0 | Half_open -> 1 | Open -> 2
-
 type config = {
   window : int;
   min_samples : int;
@@ -28,10 +26,9 @@ type t = {
   mutable st : state;
   mutable opened_at : float;  (** Monotonic; meaningful while [Open]. *)
   mutable probe_inflight : bool;  (** The single half-open probe slot. *)
-  gauge : Gc_obs.Registry.gauge option;
 }
 
-let create ?(config = default_config) ?registry ?(name = "default") () =
+let create ?(config = default_config) () =
   if config.window < 1 then invalid_arg "Breaker.create: window must be >= 1";
   if config.failure_threshold < 0. || config.failure_threshold > 1. then
     invalid_arg "Breaker.create: failure_threshold must be in [0, 1]";
@@ -44,22 +41,11 @@ let create ?(config = default_config) ?registry ?(name = "default") () =
     st = Closed;
     opened_at = 0.;
     probe_inflight = false;
-    gauge =
-      Option.map
-        (fun reg ->
-          Gc_obs.Registry.gauge reg ~labels:[ ("name", name) ] "breaker_state")
-        registry;
   }
-
-let publish t =
-  match t.gauge with
-  | Some g -> Gc_obs.Registry.set g (gauge_value t.st)
-  | None -> ()
 
 let locked t f =
   Mutex.lock t.mu;
   let v = f () in
-  publish t;
   Mutex.unlock t.mu;
   v
 
@@ -127,5 +113,3 @@ let record t ~ok =
           then trip_locked t)
 
 let state t = locked t (fun () -> t.st)
-let config t = t.cfg
-let failure_rate t = locked t (fun () -> rate_locked t)

@@ -13,10 +13,7 @@
       through.  Its success closes the breaker (window reset); its
       failure re-opens it for another cooldown.
 
-    Thread-safe (one mutex; hammer threads share a breaker per
-    dependency).  When given a registry, the breaker keeps a state gauge
-    ([0] closed, [1] half-open, [2] open) registered under
-    [breaker_state] so chaos drills and the stats op can watch it flip. *)
+    Thread-safe (one mutex). *)
 
 type state = Closed | Open | Half_open
 
@@ -35,14 +32,7 @@ val default_config : config
 
 type t
 
-val create :
-  ?config:config ->
-  ?registry:Gc_obs.Registry.t ->
-  ?name:string ->
-  unit ->
-  t
-(** [name] (default ["default"]) labels the [breaker_state] gauge when a
-    [registry] is given. *)
+val create : ?config:config -> unit -> t
 
 val allow : t -> bool
 (** May a call proceed right now?  Moves [Open -> Half_open] when the
@@ -52,7 +42,3 @@ val record : t -> ok:bool -> unit
 (** Report the outcome of an allowed call. *)
 
 val state : t -> state
-val config : t -> config
-
-val failure_rate : t -> float
-(** Current failure fraction over the window ([0.] when empty). *)

@@ -1,58 +1,30 @@
 module Client = Gc_serve.Client
 module Clock = Gc_prof.Clock
 module Rng = Gc_trace.Rng
-module Registry = Gc_obs.Registry
 
 type state = Up | Suspect | Down
 
 let state_name = function Up -> "up" | Suspect -> "suspect" | Down -> "down"
-let state_level = function Up -> 0 | Suspect -> 1 | Down -> 2
 
-type config = {
-  suspect_after : int;
-  down_after : int;
-  reprobe_after : float;
-  reprobe_max : float;
-  reprobe_jitter : float;
-  ewma_alpha : float;
-  latency_window : int;
-  p2c : bool;
-}
+type config = { reprobe_after : float; reprobe_max : float; p2c : bool }
 
-let default_config =
-  {
-    suspect_after = 1;
-    down_after = 3;
-    reprobe_after = 0.5;
-    reprobe_max = 10.;
-    reprobe_jitter = 0.25;
-    ewma_alpha = 0.3;
-    latency_window = 64;
-    p2c = true;
-  }
+let default_config = { reprobe_after = 0.5; reprobe_max = 10.; p2c = true }
 
-let validate c =
-  if c.suspect_after < 1 then
-    invalid_arg "Endpoint_pool.create: suspect_after < 1";
-  if c.down_after < c.suspect_after then
-    invalid_arg "Endpoint_pool.create: down_after < suspect_after";
-  if c.reprobe_after <= 0. || c.reprobe_max < c.reprobe_after then
-    invalid_arg "Endpoint_pool.create: bad re-probe delays";
-  if c.reprobe_jitter < 0. || c.reprobe_jitter > 1. then
-    invalid_arg "Endpoint_pool.create: reprobe_jitter outside [0, 1]";
-  if c.ewma_alpha <= 0. || c.ewma_alpha > 1. then
-    invalid_arg "Endpoint_pool.create: ewma_alpha outside (0, 1]";
-  if c.latency_window < 1 then
-    invalid_arg "Endpoint_pool.create: latency_window < 1"
+(* The fixed part of the health machine: the first failure makes an
+   endpoint Suspect, the third Down; re-probe delays carry 25% jitter;
+   the latency EWMA weighs the newest sample 0.3; the hedge quantile
+   reads the last 64 successes. *)
+let down_after = 3
+let reprobe_jitter = 0.25
+let ewma_alpha = 0.3
+let latency_window = 64
 
 type endpoint = {
   e_addr : Client.addr;
-  e_breaker : Breaker.t;
   mutable e_state : state;
   mutable e_fails : int;  (* consecutive failures *)
   mutable e_ewma : float;  (* EWMA latency, seconds; < 0 = no samples *)
   mutable e_next_probe : float;  (* monotonic re-probe deadline *)
-  e_gauge : Registry.gauge option;
 }
 
 type t = {
@@ -69,53 +41,26 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let publish ep =
-  match ep.e_gauge with
-  | None -> ()
-  | Some g -> Registry.set g (state_level ep.e_state)
-
-let create ?(config = default_config) ?breaker_config ?registry ~seed addrs =
-  validate config;
+let create ?(config = default_config) ~seed addrs =
+  if config.reprobe_after <= 0. || config.reprobe_max < config.reprobe_after
+  then invalid_arg "Endpoint_pool.create: bad re-probe delays";
   if addrs = [] then invalid_arg "Endpoint_pool.create: no endpoints";
   let ep addr =
-    let name = Client.addr_string addr in
-    let e_gauge =
-      Option.map
-        (fun reg ->
-          let g = Registry.gauge reg ~labels:[ ("endpoint", name) ] "endpoint_state" in
-          Registry.set g 0;
-          g)
-        registry
-    in
-    {
-      e_addr = addr;
-      e_breaker = Breaker.create ?config:breaker_config ?registry ~name ();
-      e_state = Up;
-      e_fails = 0;
-      e_ewma = -1.;
-      e_next_probe = 0.;
-      e_gauge;
-    }
+    { e_addr = addr; e_state = Up; e_fails = 0; e_ewma = -1.; e_next_probe = 0. }
   in
   {
     cfg = config;
     mu = Mutex.create ();
     rng = Rng.create seed;
     eps = Array.of_list (List.map ep addrs);
-    lat = Array.make config.latency_window (-1.);
+    lat = Array.make latency_window (-1.);
     lat_n = 0;
     cursor = -1;
   }
 
 let length t = Array.length t.eps
 let addr t i = t.eps.(i).e_addr
-let breaker t i = t.eps.(i).e_breaker
 let state t i = locked t (fun () -> t.eps.(i).e_state)
-
-let states t =
-  locked t (fun () ->
-      Array.to_list
-        (Array.map (fun ep -> (Client.addr_string ep.e_addr, ep.e_state)) t.eps))
 
 (* ------------------------------------------------------------ routing *)
 
@@ -182,31 +127,23 @@ let pick ?(avoid = []) t =
 let schedule_reprobe t ep =
   (* Exponential backoff past the Down threshold, jittered so a replica
      set never synchronizes its probes. *)
-  let over = max 0 (ep.e_fails - t.cfg.down_after) in
+  let over = max 0 (ep.e_fails - down_after) in
   let base =
     Float.min t.cfg.reprobe_max
       (t.cfg.reprobe_after *. Float.pow 2. (Float.of_int over))
   in
-  let j = t.cfg.reprobe_jitter in
+  let j = reprobe_jitter in
   let factor = 1. -. j +. (2. *. j *. Rng.float t.rng 1.) in
   ep.e_next_probe <- Clock.now_s () +. (base *. factor)
 
 let mark_up ep =
   ep.e_fails <- 0;
-  ep.e_state <- Up;
-  publish ep
+  ep.e_state <- Up
 
 let mark_failed t ep =
   ep.e_fails <- ep.e_fails + 1;
-  if ep.e_fails >= t.cfg.down_after then begin
-    ep.e_state <- Down;
-    schedule_reprobe t ep
-  end
-  else if ep.e_fails >= t.cfg.suspect_after then begin
-    ep.e_state <- Suspect;
-    schedule_reprobe t ep
-  end;
-  publish ep
+  ep.e_state <- (if ep.e_fails >= down_after then Down else Suspect);
+  schedule_reprobe t ep
 
 let note_ok t i ~latency_s =
   locked t (fun () ->
@@ -215,9 +152,8 @@ let note_ok t i ~latency_s =
       ep.e_ewma <-
         (if ep.e_ewma < 0. then latency_s
          else
-           (t.cfg.ewma_alpha *. latency_s)
-           +. ((1. -. t.cfg.ewma_alpha) *. ep.e_ewma));
-      t.lat.(t.lat_n mod t.cfg.latency_window) <- latency_s;
+           (ewma_alpha *. latency_s) +. ((1. -. ewma_alpha) *. ep.e_ewma));
+      t.lat.(t.lat_n mod latency_window) <- latency_s;
       t.lat_n <- t.lat_n + 1)
 
 let note_failure t i = locked t (fun () -> mark_failed t t.eps.(i))
@@ -234,7 +170,7 @@ let due_probes t =
 
 let latency_quantile t q =
   locked t (fun () ->
-      let n = min t.lat_n t.cfg.latency_window in
+      let n = min t.lat_n latency_window in
       if n = 0 then None
       else begin
         let samples = Array.sub t.lat 0 n in

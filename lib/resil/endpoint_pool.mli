@@ -4,10 +4,10 @@
     machine driven by observed request outcomes:
 
     - {b Up} — serving normally; eligible for routing.
-    - {b Suspect} — at least [suspect_after] consecutive failures; only
-      routed to when no Up endpoint is eligible.
-    - {b Down} — at least [down_after] consecutive failures; parked
-      behind a jittered re-probe deadline.  Once the deadline passes the
+    - {b Suspect} — one or two consecutive failures; only routed to when
+      no Up endpoint is eligible.
+    - {b Down} — at least three consecutive failures; parked behind a
+      re-probe deadline with 25% jitter.  Once the deadline passes the
       endpoint becomes pickable again exactly once (a live-traffic
       probe); another failure pushes the deadline out with exponential
       backoff, a success returns it to Up.
@@ -19,20 +19,12 @@
     deterministic under a fixed request order (the chaos drills rely on
     this).
 
-    Each slot owns a {!Breaker} so one bad replica trips in isolation —
-    the pool holds it so the registry labels line up, but never records
-    outcomes on it: breaker accounting stays with the caller, which
-    knows whether a failure was a real dependency fault or its own
-    cancellation.  The pool itself never dials anything: callers report
-    outcomes via {!note_ok} / {!note_failure} (or {!note_probe} for
-    out-of-band health probes) and the pool only decides {e where to
-    send next}.
+    The pool never dials anything: callers report outcomes via
+    {!note_ok} / {!note_failure} (or {!note_probe} for out-of-band
+    health probes) and the pool only decides {e where to send next}.
 
     Thread-safe (one mutex); randomness comes from a seeded
-    {!Gc_trace.Rng}, time from the monotonic {!Gc_prof.Clock}.  With a
-    registry, each endpoint keeps an [endpoint_state] gauge ([0] up,
-    [1] suspect, [2] down) labeled by address, plus the per-endpoint
-    [breaker_state] gauges. *)
+    {!Gc_trace.Rng}, time from the monotonic {!Gc_prof.Clock}. *)
 
 type state = Up | Suspect | Down
 
@@ -40,39 +32,25 @@ val state_name : state -> string
 (** ["up" | "suspect" | "down"]. *)
 
 type config = {
-  suspect_after : int;  (** Consecutive failures before Suspect ([>= 1]). *)
-  down_after : int;  (** Consecutive failures before Down ([>= suspect_after]). *)
   reprobe_after : float;  (** Base re-probe delay once Down, seconds. *)
   reprobe_max : float;  (** Re-probe backoff ceiling, seconds. *)
-  reprobe_jitter : float;  (** Fractional jitter on re-probe delays, [[0, 1]]. *)
-  ewma_alpha : float;  (** Weight of the newest latency sample, [(0, 1]]. *)
-  latency_window : int;  (** Ring of recent latencies kept for quantiles. *)
   p2c : bool;  (** Power-of-two-choices on EWMA latency; rotation when off. *)
 }
 
 val default_config : config
-(** Suspect after 1, down after 3, re-probe 0.5s doubling to 10s with
-    25% jitter, EWMA alpha 0.3, 64-sample latency window, p2c on. *)
+(** Re-probe 0.5s doubling to 10s, p2c on.  The latency EWMA weighs the
+    newest sample 0.3, and {!latency_quantile} reads the last 64
+    successes. *)
 
 type t
 
-val create :
-  ?config:config ->
-  ?breaker_config:Breaker.config ->
-  ?registry:Gc_obs.Registry.t ->
-  seed:int ->
-  Gc_serve.Client.addr list ->
-  t
-(** Raises [Invalid_argument] on an empty address list or a config that
-    violates the field constraints above. *)
+val create : ?config:config -> seed:int -> Gc_serve.Client.addr list -> t
+(** Raises [Invalid_argument] on an empty address list, or when
+    [reprobe_after <= 0] or [reprobe_max < reprobe_after]. *)
 
 val length : t -> int
 val addr : t -> int -> Gc_serve.Client.addr
-val breaker : t -> int -> Breaker.t
 val state : t -> int -> state
-
-val states : t -> (string * state) list
-(** [(address, state)] per endpoint, in creation order. *)
 
 val pick : ?avoid:int list -> t -> int
 (** Choose an endpoint for the next request: healthiest non-empty tier
@@ -84,13 +62,12 @@ val pick : ?avoid:int list -> t -> int
 val note_ok : t -> int -> latency_s:float -> unit
 (** A request to endpoint [i] succeeded in [latency_s] seconds: reset it
     to Up and fold the sample into its EWMA and the pool's latency
-    ring.  (Record the matching breaker outcome yourself.) *)
+    ring. *)
 
 val note_failure : t -> int -> unit
 (** A request to endpoint [i] failed at transport level: bump its
     consecutive-failure count (Suspect / Down per the thresholds) and
-    schedule the jittered re-probe.  (Record the matching breaker
-    outcome yourself.) *)
+    schedule the jittered re-probe. *)
 
 val note_probe : t -> int -> ok:bool -> unit
 (** Outcome of an out-of-band health probe: success restores Up (no

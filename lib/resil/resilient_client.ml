@@ -2,7 +2,6 @@ module Json = Gc_obs.Json
 module Client = Gc_serve.Client
 module Protocol = Gc_serve.Protocol
 module Token_bucket = Gc_admit.Token_bucket
-module Registry = Gc_obs.Registry
 module Clock = Gc_prof.Clock
 
 type failure =
@@ -21,22 +20,26 @@ let string_of_failure = function
 
 (* ---------------------------------------------------------- channels *)
 
-(* One server address plus its cached connection.  The single-endpoint
-   client owns one; the multi-endpoint client owns one per replica.  The
-   channel mutex only guards the [conn] slot (never held across a
-   blocking send/recv), which is what lets a hedging race {!chan_cancel}
-   a channel while another thread is blocked reading from it. *)
+(* One server address, its breaker, and its cached connection; the
+   client owns one per endpoint.  The channel mutex only guards the
+   [conn] slot (never held across a blocking send/recv), which is what
+   lets a hedging race {!chan_cancel} a channel while another thread is
+   blocked reading from it. *)
 type chan = {
   c_addr : Client.addr;
+  c_breaker : Breaker.t option;
+      (** [None] on a one-endpoint client: with no other replica to route
+          to, an open breaker could only turn retries into fast failures. *)
   c_mu : Mutex.t;
   mutable c_conn : Client.conn option;
   mutable c_connected_once : bool;
   mutable c_reconnects : int;
 }
 
-let chan_make addr =
+let chan_make ~breaker addr =
   {
     c_addr = addr;
+    c_breaker = (if breaker then Some (Breaker.create ()) else None);
     c_mu = Mutex.create ();
     c_conn = None;
     c_connected_once = false;
@@ -68,6 +71,16 @@ let chan_cancel ch =
           with Unix.Unix_error _ -> ()))
 
 let chan_reconnects ch = chan_locked ch (fun () -> ch.c_reconnects)
+
+let chan_allows ch =
+  match ch.c_breaker with None -> true | Some b -> Breaker.allow b
+
+let chan_closed ch =
+  match ch.c_breaker with
+  | None -> true
+  | Some b -> Breaker.state b = Breaker.Closed
+
+let chan_record ch ~ok = Option.iter (fun b -> Breaker.record b ~ok) ch.c_breaker
 
 (* One attempt's failure, classified for the retry predicate. *)
 type attempt_error =
@@ -163,95 +176,308 @@ let failure_of_give_up = function
   | { Retry.last_error = A_stale message; attempts; _ } ->
       Transport ({ Client.kind = Client.Protocol; message }, attempts)
 
-(* ---------------------------------------------- single-endpoint client *)
+(* ------------------------------------------------------------ client *)
+
+type hedge_config = {
+  quantile : float;
+  min_delay : float;
+  max_delay : float;
+  initial_delay : float;
+}
+
+let default_hedge =
+  { quantile = 0.9; min_delay = 0.01; max_delay = 0.5; initial_delay = 0.05 }
 
 type t = {
-  chan : chan;
+  pool : Endpoint_pool.t;
+  chans : chan array;
   timeout : float;
   retry : Retry.policy;
-  breaker : Breaker.t option;
   retry_budget : Token_bucket.t option;
+  hedge : hedge_config option;
+  probe_timeout : float;
   rng : Gc_trace.Rng.t;
   mu : Mutex.t;  (** Serialises requests: one frame in flight per conn. *)
   mutable next_id : int;
   mutable n_retries : int;
-  mutable last_hint : float;
-      (** The server's [retry_after_ms], seconds; 0. when none seen. *)
+  mutable n_failovers : int;
+  mutable n_hedges : int;
+  mutable n_hedge_wins : int;
 }
 
-let create ?(timeout = 60.) ?(retry = Retry.default) ?breaker
-    ?(retry_budget = Some (Token_bucket.create ())) ?(seed = 0) addr =
+let pool t = t.pool
+
+let health_body = Json.Obj [ ("op", Json.String "health") ]
+
+let probe t =
+  List.iter
+    (fun i ->
+      let ok =
+        match
+          Client.request_result ~timeout:t.probe_timeout
+            (Endpoint_pool.addr t.pool i)
+            health_body
+        with
+        | Ok _ -> true
+        | Error _ -> false
+      in
+      Endpoint_pool.note_probe t.pool i ~ok)
+    (Endpoint_pool.due_probes t.pool)
+
+let create_set ?(timeout = 60.) ?(retry = Retry.default)
+    ?(retry_budget = Some (Token_bucket.create ())) ?hedge ?pool_config
+    ?(seed = 0) addrs =
+  (* The pool validates the list (and draws its own jitter stream from
+     [seed + 1], so routing never perturbs the retry schedule). *)
+  let pool = Endpoint_pool.create ?config:pool_config ~seed:(seed + 1) addrs in
+  let breaker = List.length addrs >= 2 in
   {
-    chan = chan_make addr;
+    pool;
+    chans = Array.of_list (List.map (chan_make ~breaker) addrs);
     timeout;
     retry;
-    breaker;
     retry_budget;
+    hedge;
+    probe_timeout = Float.min timeout 2.;
     rng = Gc_trace.Rng.create seed;
     mu = Mutex.create ();
     next_id = 0;
     n_retries = 0;
-    last_hint = 0.;
+    n_failovers = 0;
+    n_hedges = 0;
+    n_hedge_wins = 0;
   }
 
-let close t =
-  Mutex.lock t.mu;
-  chan_drop t.chan;
-  Mutex.unlock t.mu
+let create ?timeout ?retry ?retry_budget ?seed addr =
+  create_set ?timeout ?retry ?retry_budget ?seed [ addr ]
 
-let reconnects t = chan_reconnects t.chan
+(* Outcome accounting for a completed (non-cancelled) attempt on
+   endpoint [i]: endpoint health for the pool, plus the breaker. *)
+let account t i outcome ~latency =
+  let ch = t.chans.(i) in
+  match outcome with
+  | Ok _ ->
+      chan_record ch ~ok:true;
+      Endpoint_pool.note_ok t.pool i ~latency_s:latency
+  | Error (A_rejected (kind, _)) ->
+      (* A framed rejection proves the endpoint is alive — health-wise
+         it is Up even while shedding; the breaker still counts the
+         shed as a failure (draining excepted) so a melting replica
+         trips in isolation. *)
+      chan_record ch ~ok:(kind = Protocol.kind_draining);
+      Endpoint_pool.note_ok t.pool i ~latency_s:latency
+  | Error (A_transport _ | A_stale _) ->
+      chan_record ch ~ok:false;
+      Endpoint_pool.note_failure t.pool i
+  | Error A_open -> ()
 
-let retries t =
-  Mutex.lock t.mu;
-  let n = t.n_retries in
-  Mutex.unlock t.mu;
-  n
-
-let budget_tokens t =
-  Mutex.lock t.mu;
-  let v = Option.map Token_bucket.tokens t.retry_budget in
-  Mutex.unlock t.mu;
-  v
-
-let budget_denials t =
-  Mutex.lock t.mu;
-  let n =
-    match t.retry_budget with None -> 0 | Some b -> Token_bucket.denied b
+let raw_attempt t i json sent_id hint =
+  let t0 = Clock.now_s () in
+  let r =
+    chan_attempt ~timeout:t.timeout
+      ~note_hint:(fun h -> hint := Float.max !hint h)
+      t.chans.(i) json sent_id
   in
-  Mutex.unlock t.mu;
-  n
+  (r, Clock.now_s () -. t0)
 
-let attempt_once t json sent_id =
-  t.last_hint <- 0.;
-  let gate =
-    match t.breaker with
-    | Some b when not (Breaker.allow b) -> Error A_open
-    | _ -> Ok ()
+(* Plain attempt: breaker-gated, fully accounted. *)
+let attempt_ep t i json sent_id hint =
+  if not (chan_allows t.chans.(i)) then Error A_open
+  else begin
+    let r, latency = raw_attempt t i json sent_id hint in
+    account t i r ~latency;
+    r
+  end
+
+let hedge_delay t h =
+  match Endpoint_pool.latency_quantile t.pool h.quantile with
+  | None -> h.initial_delay
+  | Some l -> Float.max h.min_delay (Float.min h.max_delay l)
+
+(* Hedge targets must have a Closed breaker: [Breaker.allow] on a
+   Closed breaker has no side effect, so a cancelled loser can never
+   strand the half-open probe slot. *)
+let hedge_target t ~primary =
+  let i = Endpoint_pool.pick ~avoid:[ primary ] t.pool in
+  if
+    i <> primary
+    && Endpoint_pool.state t.pool i = Endpoint_pool.Up
+    && chan_closed t.chans.(i)
+  then Some i
+  else None
+
+(* A hedged attempt: fire the primary, and if it has not settled
+   within the hedge delay, fire one more attempt at another Up replica
+   — first reply wins, the loser's read is woken by [chan_cancel] and
+   its result discarded.  Id-echo dedupe already guards the streams:
+   each attempt runs on its own per-endpoint channel, and a late reply
+   left on a cancelled channel can never be taken for a later
+   request's answer. *)
+let hedged_attempt t h primary json sent_id hint =
+  let rmu = Mutex.create () in
+  let rcond = Condition.create () in
+  let finished = ref [] in (* (endpoint, result, latency), completion order *)
+  let started = ref 1 in
+  let hedge_undecided = ref true in
+  let hedge_fired = ref false in
+  let secondary = ref None in
+  let post ep res lat =
+    Mutex.lock rmu;
+    finished := !finished @ [ (ep, res, lat) ];
+    Condition.broadcast rcond;
+    Mutex.unlock rmu
   in
-  let outcome =
-    Result.bind gate (fun () ->
-        chan_attempt ~timeout:t.timeout
-          ~note_hint:(fun h -> t.last_hint <- h)
-          t.chan json sent_id)
+  let run ep =
+    let r, lat = raw_attempt t ep json sent_id hint in
+    post ep r lat
   in
-  (match t.breaker with
+  (* Request latencies are wall-clock I/O races by nature; these two
+     short-lived threads cannot run on the deterministic Gc_exec
+     pool. *)
+  let th_primary =
+    Thread.create run primary [@lint.allow "spawn-outside-pool"]
+  in
+  let delay = hedge_delay t h in
+  let hedger () =
+    (* Nap in slices: a race the primary already settled releases this
+       thread early instead of after the full delay. *)
+    let slice = Float.max 0.002 (delay /. 8.) in
+    let t0 = Clock.now_s () in
+    let rec pause () =
+      let settled =
+        Mutex.lock rmu;
+        let s = !finished <> [] in
+        Mutex.unlock rmu;
+        s
+      in
+      if (not settled) && Clock.now_s () -. t0 < delay then begin
+        Gc_exec.Pool.nap slice;
+        pause ()
+      end
+    in
+    pause ();
+    Mutex.lock rmu;
+    let target =
+      if !finished = [] then hedge_target t ~primary else None
+    in
+    match target with
+    | Some ep ->
+        secondary := Some ep;
+        hedge_fired := true;
+        hedge_undecided := false;
+        started := 2;
+        Condition.broadcast rcond;
+        Mutex.unlock rmu;
+        run ep
+    | None ->
+        hedge_undecided := false;
+        Condition.broadcast rcond;
+        Mutex.unlock rmu
+  in
+  let th_hedge =
+    Thread.create hedger () [@lint.allow "spawn-outside-pool"]
+  in
+  Mutex.lock rmu;
+  let rec await () =
+    match List.find_opt (fun (_, r, _) -> Result.is_ok r) !finished with
+    | Some w -> Some w
+    | None ->
+        if List.length !finished >= !started && not !hedge_undecided then
+          None
+        else begin
+          Condition.wait rcond rmu;
+          await ()
+        end
+  in
+  let winner = await () in
+  let fired = !hedge_fired in
+  let second = !secondary in
+  Mutex.unlock rmu;
+  (* Cancel the loser so the joins below are prompt. *)
+  (match winner with
   | None -> ()
-  | Some b -> (
-      match outcome with
-      | Ok _ -> Breaker.record b ~ok:true
-      | Error A_open -> () (* never dialed; nothing to record *)
-      | Error (A_rejected (kind, _)) when kind = Protocol.kind_draining ->
-          (* An orderly goodbye, not a dependency failure. *)
-          Breaker.record b ~ok:true
-      | Error (A_transport _ | A_stale _ | A_rejected _) ->
-          Breaker.record b ~ok:false));
-  outcome
+  | Some (wep, _, _) ->
+      if wep <> primary then chan_cancel t.chans.(primary);
+      (match second with
+      | Some s when s <> wep -> chan_cancel t.chans.(s)
+      | _ -> ()));
+  Thread.join th_primary;
+  Thread.join th_hedge;
+  let all = !finished in
+  if fired then t.n_hedges <- t.n_hedges + 1;
+  match winner with
+  | Some (wep, wres, wlat) ->
+      account t wep wres ~latency:wlat;
+      (* Losers were cancelled: an error over there is our own
+         shutdown talking and says nothing about the endpoint, so only
+         a completed Ok (both replicas answered) is accounted. *)
+      List.iter
+        (fun (ep, r, lat) ->
+          if ep <> wep && Result.is_ok r then account t ep r ~latency:lat)
+        all;
+      if fired && wep <> primary then t.n_hedge_wins <- t.n_hedge_wins + 1;
+      wres
+  | None ->
+      (* No winner: every attempt genuinely failed — account them all
+         and surface the primary's error for retry classification. *)
+      List.iter (fun (ep, r, lat) -> account t ep r ~latency:lat) all;
+      let primary_err =
+        List.find_opt (fun (ep, _, _) -> ep = primary) all
+      in
+      (match (primary_err, all) with
+      | Some (_, r, _), _ -> r
+      | None, (_, r, _) :: _ -> r
+      | None, [] ->
+          Error
+            (A_transport
+               {
+                 Client.kind = Client.Reset;
+                 message = "hedged attempt produced no result";
+               }))
+
+let attempt_on t ~idempotent i json sent_id hint =
+  match t.hedge with
+  | Some h
+    when idempotent
+         && Endpoint_pool.length t.pool > 1
+         && chan_closed t.chans.(i) ->
+      hedged_attempt t h i json sent_id hint
+  | _ -> attempt_ep t i json sent_id hint
+
+(* Transport-level failures of idempotent requests fail over to
+   another replica inside the same attempt, with no backoff: the
+   failure already cost its timeout, and another replica may answer
+   immediately.  [A_open] fails over unconditionally — the breaker
+   refused before anything was sent, so even a non-idempotent request
+   is safe elsewhere. *)
+let failover_worthy ~idempotent = function
+  | A_open -> true
+  | A_transport { Client.kind = Client.Refused | Client.Timeout | Client.Reset; _ }
+    ->
+      idempotent
+  | A_transport _ | A_stale _ | A_rejected _ -> false
+
+let round t ~idempotent json sent_id hint =
+  let n = Endpoint_pool.length t.pool in
+  let rec go tried i =
+    match attempt_on t ~idempotent i json sent_id hint with
+    | Ok r -> Ok r
+    | Error e ->
+        let tried = i :: tried in
+        if failover_worthy ~idempotent e && List.length tried < n then begin
+          t.n_failovers <- t.n_failovers + 1;
+          go tried (Endpoint_pool.pick ~avoid:tried t.pool)
+        end
+        else Error e
+  in
+  go [] (Endpoint_pool.pick t.pool)
+
+let locked t f =
+  Mutex.lock t.mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 let request ?(idempotent = true) t json =
-  Mutex.lock t.mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mu)
-    (fun () ->
+  locked t (fun () ->
       let json, sent_id =
         with_id_gen
           ~next:(fun () ->
@@ -259,6 +485,7 @@ let request ?(idempotent = true) t json =
             t.next_id)
           json
       in
+      let hint = ref 0. in
       (* Every retry is paid for out of the token bucket: when successes
          (which refill it) dry up, so do the retries — the property that
          keeps a fleet of these clients from holding an overload in its
@@ -271,428 +498,23 @@ let request ?(idempotent = true) t json =
       in
       match
         Retry.run ~policy:t.retry ~rng:t.rng
-          ~sleep:(fun d -> Gc_exec.Pool.nap (Float.max d t.last_hint))
+          ~sleep:(fun d -> Gc_exec.Pool.nap (Float.max d !hint))
           ~retryable:gated
           (fun ~attempt ->
             if attempt > 1 then t.n_retries <- t.n_retries + 1;
-            attempt_once t json sent_id)
+            hint := 0.;
+            round t ~idempotent json sent_id hint)
       with
       | Ok reply ->
           Option.iter Token_bucket.on_success t.retry_budget;
           Ok reply
       | Error give_up -> Error (failure_of_give_up give_up))
 
-(* ----------------------------------------------- multi-endpoint client *)
+let close t = locked t (fun () -> Array.iter chan_drop t.chans)
+let retries t = locked t (fun () -> t.n_retries)
+let failovers t = locked t (fun () -> t.n_failovers)
+let hedges t = locked t (fun () -> t.n_hedges)
+let hedge_wins t = locked t (fun () -> t.n_hedge_wins)
 
-module Multi = struct
-  type hedge_config = {
-    quantile : float;
-    min_delay : float;
-    max_delay : float;
-    initial_delay : float;
-  }
-
-  let default_hedge =
-    { quantile = 0.9; min_delay = 0.01; max_delay = 0.5; initial_delay = 0.05 }
-
-  type nonrec t = {
-    pool : Endpoint_pool.t;
-    chans : chan array;
-    timeout : float;
-    retry : Retry.policy;
-    retry_budget : Token_bucket.t option;
-    hedge : hedge_config option;
-    probe_timeout : float;
-    rng : Gc_trace.Rng.t;
-    mu : Mutex.t;  (** Serialises requests, exactly as the single client. *)
-    stop_prober : bool Atomic.t;
-    mutable prober : Thread.t option;
-    mutable next_id : int;
-    mutable n_retries : int;
-    mutable n_failovers : int;
-    mutable n_hedges : int;
-    mutable n_hedge_wins : int;
-    m_failovers : Registry.counter option;
-    m_hedges : Registry.counter option;
-    m_hedge_wins : Registry.counter option;
-  }
-
-  let pool t = t.pool
-
-  let health_body = Json.Obj [ ("op", Json.String "health") ]
-
-  let probe t =
-    List.iter
-      (fun i ->
-        let ok =
-          match
-            Client.request_result ~timeout:t.probe_timeout
-              (Endpoint_pool.addr t.pool i)
-              health_body
-          with
-          | Ok _ -> true
-          | Error _ -> false
-        in
-        Endpoint_pool.note_probe t.pool i ~ok)
-      (Endpoint_pool.due_probes t.pool)
-
-  let create ?(timeout = 60.) ?(retry = Retry.default)
-      ?(retry_budget = Some (Token_bucket.create ())) ?hedge ?pool_config
-      ?breaker_config ?registry ?probe_interval ?(seed = 0) addrs =
-    let pool =
-      Endpoint_pool.create ?config:pool_config ?breaker_config ?registry
-        ~seed:(seed + 1) addrs
-    in
-    let c name = Option.map (fun r -> Registry.counter r name) registry in
-    let t =
-      {
-        pool;
-        chans = Array.of_list (List.map chan_make addrs);
-        timeout;
-        retry;
-        retry_budget;
-        hedge;
-        probe_timeout = Float.min timeout 2.;
-        rng = Gc_trace.Rng.create seed;
-        mu = Mutex.create ();
-        stop_prober = Atomic.make false;
-        prober = None;
-        next_id = 0;
-        n_retries = 0;
-        n_failovers = 0;
-        n_hedges = 0;
-        n_hedge_wins = 0;
-        m_failovers = c "failovers";
-        m_hedges = c "hedges";
-        m_hedge_wins = c "hedge_wins";
-      }
-    in
-    (match probe_interval with
-    | None -> ()
-    | Some interval ->
-        let interval = Float.max 0.01 interval in
-        let loop t =
-          (* Nap in slices so [close] never waits a full interval. *)
-          let rec go elapsed =
-            if not (Atomic.get t.stop_prober) then
-              if elapsed >= interval then begin
-                probe t;
-                go 0.
-              end
-              else begin
-                let slice = Float.min 0.05 (interval -. elapsed) in
-                Gc_exec.Pool.nap slice;
-                go (elapsed +. slice)
-              end
-          in
-          go 0.
-        in
-        (* The prober is I/O-bound housekeeping, not simulation work: it
-           cannot run on the deterministic Gc_exec pool. *)
-        t.prober <-
-          Some (Thread.create loop t [@lint.allow "spawn-outside-pool"]));
-    t
-
-  let bump counter f =
-    f ();
-    Option.iter Registry.incr counter
-
-  let note_failover t =
-    bump t.m_failovers (fun () -> t.n_failovers <- t.n_failovers + 1)
-
-  let note_hedge t =
-    bump t.m_hedges (fun () -> t.n_hedges <- t.n_hedges + 1)
-
-  let note_hedge_win t =
-    bump t.m_hedge_wins (fun () -> t.n_hedge_wins <- t.n_hedge_wins + 1)
-
-  (* Outcome accounting for a completed (non-cancelled) attempt on
-     endpoint [i]: endpoint health for the pool, plus the breaker. *)
-  let account t i outcome ~latency =
-    let b = Endpoint_pool.breaker t.pool i in
-    match outcome with
-    | Ok _ ->
-        Breaker.record b ~ok:true;
-        Endpoint_pool.note_ok t.pool i ~latency_s:latency
-    | Error (A_rejected (kind, _)) ->
-        (* A framed rejection proves the endpoint is alive — health-wise
-           it is Up even while shedding; the breaker still counts the
-           shed as a failure (draining excepted) so a melting replica
-           trips in isolation. *)
-        Breaker.record b ~ok:(kind = Protocol.kind_draining);
-        Endpoint_pool.note_ok t.pool i ~latency_s:latency
-    | Error (A_transport _ | A_stale _) ->
-        Breaker.record b ~ok:false;
-        Endpoint_pool.note_failure t.pool i
-    | Error A_open -> ()
-
-  let raw_attempt t i json sent_id hint =
-    let t0 = Clock.now_s () in
-    let r =
-      chan_attempt ~timeout:t.timeout
-        ~note_hint:(fun h -> hint := Float.max !hint h)
-        t.chans.(i) json sent_id
-    in
-    (r, Clock.now_s () -. t0)
-
-  (* Plain attempt: breaker-gated, fully accounted. *)
-  let attempt_ep t i json sent_id hint =
-    if not (Breaker.allow (Endpoint_pool.breaker t.pool i)) then Error A_open
-    else begin
-      let r, latency = raw_attempt t i json sent_id hint in
-      account t i r ~latency;
-      r
-    end
-
-  let hedge_delay t h =
-    match Endpoint_pool.latency_quantile t.pool h.quantile with
-    | None -> h.initial_delay
-    | Some l -> Float.max h.min_delay (Float.min h.max_delay l)
-
-  (* Hedge targets must have a Closed breaker: [Breaker.allow] on a
-     Closed breaker has no side effect, so a cancelled loser can never
-     strand the half-open probe slot. *)
-  let hedge_target t ~primary =
-    if Endpoint_pool.length t.pool < 2 then None
-    else begin
-      let i = Endpoint_pool.pick ~avoid:[ primary ] t.pool in
-      if
-        i <> primary
-        && Endpoint_pool.state t.pool i = Endpoint_pool.Up
-        && Breaker.state (Endpoint_pool.breaker t.pool i) = Breaker.Closed
-      then Some i
-      else None
-    end
-
-  (* A hedged attempt: fire the primary, and if it has not settled
-     within the hedge delay, fire one more attempt at another Up replica
-     — first reply wins, the loser's read is woken by [chan_cancel] and
-     its result discarded.  Id-echo dedupe already guards the streams:
-     each attempt runs on its own per-endpoint channel, and a late reply
-     left on a cancelled channel can never be taken for a later
-     request's answer. *)
-  let hedged_attempt t h primary json sent_id hint =
-    let rmu = Mutex.create () in
-    let rcond = Condition.create () in
-    let finished = ref [] in (* (endpoint, result, latency), completion order *)
-    let started = ref 1 in
-    let hedge_undecided = ref true in
-    let hedge_fired = ref false in
-    let secondary = ref None in
-    let post ep res lat =
-      Mutex.lock rmu;
-      finished := !finished @ [ (ep, res, lat) ];
-      Condition.broadcast rcond;
-      Mutex.unlock rmu
-    in
-    let run ep =
-      let r, lat = raw_attempt t ep json sent_id hint in
-      post ep r lat
-    in
-    (* Request latencies are wall-clock I/O races by nature; these two
-       short-lived threads cannot run on the deterministic Gc_exec
-       pool. *)
-    let th_primary =
-      Thread.create run primary [@lint.allow "spawn-outside-pool"]
-    in
-    let delay = hedge_delay t h in
-    let hedger () =
-      (* Nap in slices: a race the primary already settled releases this
-         thread early instead of after the full delay. *)
-      let slice = Float.max 0.002 (delay /. 8.) in
-      let t0 = Clock.now_s () in
-      let rec pause () =
-        let settled =
-          Mutex.lock rmu;
-          let s = !finished <> [] in
-          Mutex.unlock rmu;
-          s
-        in
-        if (not settled) && Clock.now_s () -. t0 < delay then begin
-          Gc_exec.Pool.nap slice;
-          pause ()
-        end
-      in
-      pause ();
-      Mutex.lock rmu;
-      let target =
-        if !finished = [] then hedge_target t ~primary else None
-      in
-      match target with
-      | Some ep ->
-          secondary := Some ep;
-          hedge_fired := true;
-          hedge_undecided := false;
-          started := 2;
-          Condition.broadcast rcond;
-          Mutex.unlock rmu;
-          run ep
-      | None ->
-          hedge_undecided := false;
-          Condition.broadcast rcond;
-          Mutex.unlock rmu
-    in
-    let th_hedge =
-      Thread.create hedger () [@lint.allow "spawn-outside-pool"]
-    in
-    Mutex.lock rmu;
-    let rec await () =
-      match List.find_opt (fun (_, r, _) -> Result.is_ok r) !finished with
-      | Some w -> Some w
-      | None ->
-          if List.length !finished >= !started && not !hedge_undecided then
-            None
-          else begin
-            Condition.wait rcond rmu;
-            await ()
-          end
-    in
-    let winner = await () in
-    let fired = !hedge_fired in
-    let second = !secondary in
-    Mutex.unlock rmu;
-    (* Cancel the loser so the joins below are prompt. *)
-    (match winner with
-    | None -> ()
-    | Some (wep, _, _) ->
-        if wep <> primary then chan_cancel t.chans.(primary);
-        (match second with
-        | Some s when s <> wep -> chan_cancel t.chans.(s)
-        | _ -> ()));
-    Thread.join th_primary;
-    Thread.join th_hedge;
-    let all = !finished in
-    if fired then note_hedge t;
-    match winner with
-    | Some (wep, wres, wlat) ->
-        account t wep wres ~latency:wlat;
-        (* Losers were cancelled: an error over there is our own
-           shutdown talking and says nothing about the endpoint, so only
-           a completed Ok (both replicas answered) is accounted. *)
-        List.iter
-          (fun (ep, r, lat) ->
-            if ep <> wep && Result.is_ok r then account t ep r ~latency:lat)
-          all;
-        if fired && wep <> primary then note_hedge_win t;
-        wres
-    | None ->
-        (* No winner: every attempt genuinely failed — account them all
-           and surface the primary's error for retry classification. *)
-        List.iter (fun (ep, r, lat) -> account t ep r ~latency:lat) all;
-        let primary_err =
-          List.find_opt (fun (ep, _, _) -> ep = primary) all
-        in
-        (match (primary_err, all) with
-        | Some (_, r, _), _ -> r
-        | None, (_, r, _) :: _ -> r
-        | None, [] ->
-            Error
-              (A_transport
-                 {
-                   Client.kind = Client.Reset;
-                   message = "hedged attempt produced no result";
-                 }))
-
-  let attempt_on t ~idempotent i json sent_id hint =
-    match t.hedge with
-    | Some h
-      when idempotent
-           && Endpoint_pool.length t.pool > 1
-           && Breaker.state (Endpoint_pool.breaker t.pool i) = Breaker.Closed
-      ->
-        hedged_attempt t h i json sent_id hint
-    | _ -> attempt_ep t i json sent_id hint
-
-  (* Transport-level failures of idempotent requests fail over to
-     another replica inside the same attempt, with no backoff: the
-     failure already cost its timeout, and another replica may answer
-     immediately.  [A_open] fails over unconditionally — the breaker
-     refused before anything was sent, so even a non-idempotent request
-     is safe elsewhere. *)
-  let failover_worthy ~idempotent = function
-    | A_open -> true
-    | A_transport { Client.kind = Client.Refused | Client.Timeout | Client.Reset; _ }
-      ->
-        idempotent
-    | A_transport _ | A_stale _ | A_rejected _ -> false
-
-  let round t ~idempotent json sent_id hint =
-    let n = Endpoint_pool.length t.pool in
-    let rec go tried i =
-      match attempt_on t ~idempotent i json sent_id hint with
-      | Ok r -> Ok r
-      | Error e ->
-          let tried = i :: tried in
-          if failover_worthy ~idempotent e && List.length tried < n then begin
-            note_failover t;
-            go tried (Endpoint_pool.pick ~avoid:tried t.pool)
-          end
-          else Error e
-    in
-    go [] (Endpoint_pool.pick t.pool)
-
-  let request ?(idempotent = true) t json =
-    Mutex.lock t.mu;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.mu)
-      (fun () ->
-        let json, sent_id =
-          with_id_gen
-            ~next:(fun () ->
-              t.next_id <- t.next_id + 1;
-              t.next_id)
-            json
-        in
-        let hint = ref 0. in
-        let gated e =
-          retryable ~idempotent e
-          && match t.retry_budget with
-             | None -> true
-             | Some b -> Token_bucket.try_take b
-        in
-        match
-          Retry.run ~policy:t.retry ~rng:t.rng
-            ~sleep:(fun d -> Gc_exec.Pool.nap (Float.max d !hint))
-            ~retryable:gated
-            (fun ~attempt ->
-              if attempt > 1 then t.n_retries <- t.n_retries + 1;
-              hint := 0.;
-              round t ~idempotent json sent_id hint)
-        with
-        | Ok reply ->
-            Option.iter Token_bucket.on_success t.retry_budget;
-            Ok reply
-        | Error give_up -> Error (failure_of_give_up give_up))
-
-  let close t =
-    Atomic.set t.stop_prober true;
-    (match t.prober with
-    | None -> ()
-    | Some th ->
-        Thread.join th;
-        t.prober <- None);
-    Mutex.lock t.mu;
-    Array.iter chan_drop t.chans;
-    Mutex.unlock t.mu
-
-  let locked t f =
-    Mutex.lock t.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
-  let retries t = locked t (fun () -> t.n_retries)
-  let failovers t = locked t (fun () -> t.n_failovers)
-  let hedges t = locked t (fun () -> t.n_hedges)
-  let hedge_wins t = locked t (fun () -> t.n_hedge_wins)
-
-  let reconnects t =
-    Array.fold_left (fun acc ch -> acc + chan_reconnects ch) 0 t.chans
-
-  let budget_tokens t =
-    locked t (fun () -> Option.map Token_bucket.tokens t.retry_budget)
-
-  let budget_denials t =
-    locked t (fun () ->
-        match t.retry_budget with None -> 0 | Some b -> Token_bucket.denied b)
-
-  let states t = Endpoint_pool.states t.pool
-end
+let reconnects t =
+  Array.fold_left (fun acc ch -> acc + chan_reconnects ch) 0 t.chans

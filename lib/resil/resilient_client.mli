@@ -1,8 +1,9 @@
-(** A {!Gc_serve.Client} that survives restarts.
+(** A {!Gc_serve.Client} that survives restarts, over one endpoint or a
+    replica set.
 
     One value per dependency (or per hammer thread): it owns a connection
-    it transparently re-establishes, a {!Retry} policy, and optionally a
-    shared {!Breaker}.  What a caller gets beyond the raw client:
+    per endpoint that it transparently re-establishes, and a {!Retry}
+    policy.  What a caller gets beyond the raw client:
 
     - {b automatic reconnect} — a [Refused]/[Reset]/[Timeout] transport
       failure drops the cached connection and the retry policy dials
@@ -32,6 +33,33 @@
       [retry_after_ms] stretches the next retry delay to at least the
       hinted, server-jittered value, desynchronizing the retrying fleet.
 
+    Over a replica set ({!create_set} with two or more endpoints) it
+    also gives:
+
+    - {b health-aware routing} via an {!Endpoint_pool}: up / suspect /
+      down states driven by observed outcomes, jittered re-probe of down
+      replicas, power-of-two-choices on observed latency (deterministic
+      rotation until two latency samples exist, or with [p2c] off);
+    - {b transparent failover} — a [Refused]/[Timeout]/[Reset] failure
+      of an idempotent request moves to another replica {e within} the
+      same attempt, with no backoff delay; an endpoint whose breaker is
+      open is skipped before anything is sent (safe even for
+      non-idempotent requests).  Backoff only happens between whole
+      rounds, when every eligible replica has failed;
+    - {b per-endpoint breakers} — one {!Breaker} (default config) per
+      replica, so a single melting endpoint trips in isolation while the
+      rest of the set keeps serving.  A one-endpoint client has no
+      breaker: with nowhere else to route, an open circuit could only
+      turn its retries into {!Open_circuit};
+    - {b hedged requests} (opt-in) — when an idempotent request has not
+      settled within a hedge delay derived from a latency quantile
+      (clamped to [[min_delay, max_delay]]; [initial_delay] before the
+      first sample), a second attempt fires at another Up replica.
+      First reply wins; the loser's blocked read is woken by a socket
+      shutdown and its result discarded, which the id-echo dedupe makes
+      safe.  Hedges only target replicas with a Closed breaker, so a
+      cancelled loser can never strand the half-open probe slot.
+
     Other error replies (usage, timeout, exception, model-violation) are
     answers, not failures: they come back as [Ok reply] for the caller to
     interpret, exactly as with the raw client. *)
@@ -44,143 +72,78 @@ type failure =
   | Rejected of string * string
       (** The server answered [overloaded]/[expired] (retries exhausted
           or the budget refused them) or [draining]: (kind, message). *)
-  | Open_circuit  (** The breaker refused the call without dialing. *)
+  | Open_circuit  (** Every breaker refused the call without dialing. *)
 
 val string_of_failure : failure -> string
+
+type hedge_config = {
+  quantile : float;  (** Latency quantile that sets the hedge delay. *)
+  min_delay : float;  (** Clamp floor, seconds. *)
+  max_delay : float;  (** Clamp ceiling, seconds. *)
+  initial_delay : float;  (** Delay before any latency sample exists. *)
+}
+
+val default_hedge : hedge_config
+(** p90, clamped to [[10ms, 500ms]], 50ms before the first sample. *)
+
+val create_set :
+  ?timeout:float ->
+  ?retry:Retry.policy ->
+  ?retry_budget:Gc_admit.Token_bucket.t option ->
+  ?hedge:hedge_config ->
+  ?pool_config:Endpoint_pool.config ->
+  ?seed:int ->
+  Gc_serve.Client.addr list ->
+  t
+(** A client over the listed endpoints.  [timeout] (default 60s) bounds
+    each attempt's reply wait; [seed] (default 0) seeds the retry jitter
+    stream, and [seed + 1] the pool's, so a drill replaying a seed
+    replays the backoff schedule.  [retry_budget] defaults to a fresh
+    {!Gc_admit.Token_bucket} with its defaults (10 tokens, 0.2 per
+    success); [None] disables budgeting, [Some b] shares [b].  [hedge]
+    absent disables hedging.  Requests on one [t] are serialized — give
+    each thread its own [t].  Down endpoints recover through
+    live-traffic re-probes, or sooner through {!probe}.  Raises
+    [Invalid_argument] on an empty endpoint list. *)
 
 val create :
   ?timeout:float ->
   ?retry:Retry.policy ->
-  ?breaker:Breaker.t ->
   ?retry_budget:Gc_admit.Token_bucket.t option ->
   ?seed:int ->
   Gc_serve.Client.addr ->
   t
-(** [timeout] (default 60s) bounds each attempt's reply wait; [seed]
-    (default 0) seeds the jitter stream, so a drill replaying a seed
-    replays the backoff schedule.  [retry_budget] defaults to a fresh
-    {!Gc_admit.Token_bucket} with its defaults (10 tokens, 0.2 per
-    success); [None] disables budgeting, [Some b] shares [b].  Requests
-    on one [t] are serialized — share a breaker, not a [t], across
-    threads. *)
+(** [create addr] is [create_set [addr]]: the one-endpoint client. *)
 
 val request :
   ?idempotent:bool -> t -> Gc_obs.Json.t -> (Gc_obs.Json.t, failure) result
 (** Send one request, retrying per policy.  [idempotent] (default [true])
-    gates every retry; with [~idempotent:false] the first classified
-    failure is final. *)
+    gates every retry, failover and hedge; with [~idempotent:false] the
+    first classified failure is final. *)
+
+val probe : t -> unit
+(** Health-check every endpoint whose re-probe deadline has passed,
+    updating pool states.  Out-of-band: safe to call from another
+    thread while requests are in flight. *)
 
 val close : t -> unit
-(** Drop the cached connection (idempotent; [t] remains usable). *)
+(** Drop every cached connection (idempotent; [t] remains usable). *)
+
+val pool : t -> Endpoint_pool.t
 
 val reconnects : t -> int
-(** Connections established after the first — the restarts this client
-    has ridden through. *)
+(** Connections established after the first, summed over endpoints — the
+    restarts this client has ridden through. *)
 
 val retries : t -> int
 (** Attempts beyond the first, summed over all requests. *)
 
-val budget_tokens : t -> float option
-(** Tokens left in the retry budget; [None] when budgeting is off. *)
+val failovers : t -> int
+(** Same-attempt switches to another replica after a transport
+    failure or an open breaker. *)
 
-val budget_denials : t -> int
-(** Retries the budget refused — each one a request the server did not
-    have to shed again.  Always 0 when budgeting is off. *)
+val hedges : t -> int
+(** Second attempts fired. *)
 
-(** The multi-endpoint mode: one client over a replica set.
-
-    Everything the single client does — reconnect, id-echo dedupe,
-    rejection classification, retry budget, backoff hints — plus:
-
-    - {b health-aware routing} via an {!Endpoint_pool}: up / suspect /
-      down states driven by observed outcomes, jittered re-probe of down
-      replicas, power-of-two-choices on observed latency (deterministic
-      rotation until two latency samples exist, or with [p2c] off);
-    - {b transparent failover} — a [Refused]/[Timeout]/[Reset] failure
-      of an idempotent request moves to another replica {e within} the
-      same attempt, with no backoff delay; an endpoint whose breaker is
-      open is skipped before anything is sent (safe even for
-      non-idempotent requests).  Backoff only happens between whole
-      rounds, when every eligible replica has failed;
-    - {b per-endpoint breakers} — one {!Breaker} per replica, so a
-      single melting endpoint trips in isolation while the rest of the
-      set keeps serving;
-    - {b hedged requests} (opt-in) — when an idempotent request has not
-      settled within a hedge delay derived from a latency quantile
-      (clamped to [[min_delay, max_delay]]; [initial_delay] before the
-      first sample), a second attempt fires at another Up replica.
-      First reply wins; the loser's blocked read is woken by a socket
-      shutdown and its result discarded, which the id-echo dedupe makes
-      safe.  Hedges only target replicas with a Closed breaker, so a
-      cancelled loser can never strand the half-open probe slot.
-
-    The [hedges] / [hedge_wins] / [failovers] counters and the
-    per-endpoint [endpoint_state] / [breaker_state] gauges flow into a
-    registry when one is given, and out through the accessors below for
-    drill reconciliation. *)
-module Multi : sig
-  type hedge_config = {
-    quantile : float;  (** Latency quantile that sets the hedge delay. *)
-    min_delay : float;  (** Clamp floor, seconds. *)
-    max_delay : float;  (** Clamp ceiling, seconds. *)
-    initial_delay : float;  (** Delay before any latency sample exists. *)
-  }
-
-  val default_hedge : hedge_config
-  (** p90, clamped to [[10ms, 500ms]], 50ms before the first sample. *)
-
-  type t
-
-  val create :
-    ?timeout:float ->
-    ?retry:Retry.policy ->
-    ?retry_budget:Gc_admit.Token_bucket.t option ->
-    ?hedge:hedge_config ->
-    ?pool_config:Endpoint_pool.config ->
-    ?breaker_config:Breaker.config ->
-    ?registry:Gc_obs.Registry.t ->
-    ?probe_interval:float ->
-    ?seed:int ->
-    Gc_serve.Client.addr list ->
-    t
-  (** Defaults match the single client; [hedge] [None] disables hedging.
-      [probe_interval] starts a background prober thread that
-      health-checks re-probe-due endpoints every interval (stopped by
-      {!close}); without it, call {!probe} yourself — down endpoints
-      still recover through live-traffic re-probes either way.  Raises
-      [Invalid_argument] on an empty endpoint list. *)
-
-  val request :
-    ?idempotent:bool -> t -> Gc_obs.Json.t -> (Gc_obs.Json.t, failure) result
-  (** As the single client's {!request}; failover and hedging engage
-      only when [idempotent] (the default). *)
-
-  val probe : t -> unit
-  (** Health-check every endpoint whose re-probe deadline has passed,
-      updating pool states.  Out-of-band: safe to call from another
-      thread while requests are in flight. *)
-
-  val close : t -> unit
-  (** Stop the prober (when running) and drop every cached connection;
-      [t] remains usable. *)
-
-  val pool : t -> Endpoint_pool.t
-  val states : t -> (string * Endpoint_pool.state) list
-
-  val retries : t -> int
-  val failovers : t -> int
-  (** Same-attempt switches to another replica after a transport
-      failure or an open breaker. *)
-
-  val hedges : t -> int
-  (** Second attempts fired. *)
-
-  val hedge_wins : t -> int
-  (** Hedged attempts where the {e second} replica's reply won. *)
-
-  val reconnects : t -> int
-  (** Summed over all endpoint channels. *)
-
-  val budget_tokens : t -> float option
-  val budget_denials : t -> int
-end
+val hedge_wins : t -> int
+(** Hedged attempts where the {e second} replica's reply won. *)

@@ -222,9 +222,22 @@ let disconnect t conn =
   release_locked t conn;
   Mutex.unlock t.mu
 
+let detach_locked job =
+  job.jconn.jobs <- List.filter (fun j -> j != job) job.jconn.jobs
+
+(* A job leaves its connection's in-flight list before its reply is
+   written: a client that reads the reply and hangs up at once did not
+   disconnect mid-request. *)
+let detach t job =
+  Mutex.lock t.mu;
+  detach_locked job;
+  Mutex.unlock t.mu
+
+(* After the reply (if any) is written: drop the job's connection
+   reference, and its list entry if it never got as far as a reply. *)
 let settle t job =
   Mutex.lock t.mu;
-  job.jconn.jobs <- List.filter (fun j -> j != job) job.jconn.jobs;
+  detach_locked job;
   release_locked t job.jconn;
   Mutex.unlock t.mu
 
@@ -324,6 +337,8 @@ let process t job ~wait_ns verdict =
   let conn = job.jconn in
   let id = job.req_id in
   let sojourn_ms = Float.of_int wait_ns /. 1e6 in
+  (* Only a served job has work for a disconnect to cancel. *)
+  (match verdict with V_serve _ -> () | _ -> detach t job);
   match verdict with
   | V_cancelled ->
       observe_wait t "cancelled" wait_ns;
@@ -376,6 +391,7 @@ let process t job ~wait_ns verdict =
         | [ o ] -> o
         | _ -> assert false
       in
+      detach t job;
       let signal =
         match outcome with
         | Pool.Done result ->

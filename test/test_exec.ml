@@ -257,15 +257,7 @@ let test_journal_resume_appends () =
 (* ------------------------------------------------------------------ pool *)
 
 let quick_config ?deadline ?(retries = 1) ?(domains = 2) () =
-  {
-    (Pool.default_config ()) with
-    Pool.domains;
-    deadline;
-    retries;
-    grace = 0.1;
-    backoff = 0.01;
-    tick = 0.001;
-  }
+  { Pool.domains; deadline; retries; grace = 0.1; backoff = 0.01; tick = 0.001 }
 
 let test_pool_order_and_results () =
   let tasks =

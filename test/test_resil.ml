@@ -2,7 +2,8 @@
    schedule (recorded via an injected sleep, never slept), the Breaker
    state machine over a sliding window, Resilient_client against real
    in-process servers (reconnect across a restart, refused
-   classification, breaker fast-fail), and Supervise end-to-end with the
+   classification, no breaker on one endpoint, breaker fast-fail on a
+   replica set), and Supervise end-to-end with the
    real ../bin/gcserved.exe child — SIGKILL then a clean drain with
    exactly one restart, and the crash-loop give-up. *)
 
@@ -208,26 +209,6 @@ let test_breaker_half_open_race () =
     "probe success closes" "closed"
     (Breaker.state_name (Breaker.state b))
 
-let test_breaker_gauge () =
-  let reg = Gc_obs.Registry.create () in
-  let b = Breaker.create ~config:tripping_config ~registry:reg ~name:"dep" () in
-  let gauge () =
-    match Gc_obs.Registry.to_json reg with
-    | Json.Array rows -> (
-        let hit = function
-          | Json.Obj fields ->
-              List.assoc_opt "name" fields = Some (Json.String "breaker_state")
-          | _ -> false
-        in
-        match List.find_opt hit rows with
-        | Some (Json.Obj fields) -> List.assoc_opt "value" fields
-        | _ -> None)
-    | _ -> None
-  in
-  Alcotest.(check bool) "closed = 0" true (gauge () = Some (Json.Int 0));
-  trip b;
-  Alcotest.(check bool) "open = 2" true (gauge () = Some (Json.Int 2))
-
 (* ------------------------------------------------------ resilient client *)
 
 let sock_seq = ref 0
@@ -308,29 +289,43 @@ let test_rc_non_idempotent_single_shot () =
   | Ok _ -> Alcotest.fail "nothing was listening");
   Rc.close rc
 
-let test_rc_breaker_fast_fails () =
-  let breaker =
-    Breaker.create
-      ~config:
-        { Breaker.window = 2; min_samples = 2; failure_threshold = 0.5;
-          cooldown = 60. }
-      ()
-  in
+let test_rc_one_endpoint_has_no_breaker () =
+  (* Seven refused attempts in one request would trip a default breaker
+     after five; a lone endpoint has nowhere else to go, so the client
+     keeps dialing and reports the transport failure. *)
   let rc =
-    Rc.create ~retry:fast_retry ~breaker (Client.Unix_path (fresh_sock ()))
+    Rc.create_set
+      ~retry:{ fast_retry with Retry.max_attempts = 7 }
+      [ Client.Unix_path (fresh_sock ()) ]
   in
-  (* The two failing attempts of this one request trip the breaker. *)
   (match Rc.request rc health with
-  | Error (Rc.Transport _) -> ()
+  | Error (Rc.Transport ({ Client.kind = Client.Refused; _ }, attempts)) ->
+      Alcotest.(check int) "spent the whole policy" 7 attempts
   | Error f -> Alcotest.failf "wrong failure: %s" (Rc.string_of_failure f)
   | Ok _ -> Alcotest.fail "nothing was listening");
-  Alcotest.(check string)
-    "tripped" "open"
-    (Breaker.state_name (Breaker.state breaker));
-  (match Rc.request rc health with
-  | Error Rc.Open_circuit -> ()
-  | Error f -> Alcotest.failf "expected Open_circuit, got %s" (Rc.string_of_failure f)
-  | Ok _ -> Alcotest.fail "breaker let a call through");
+  Rc.close rc
+
+let test_rc_breaker_fast_fails () =
+  (* Each request makes two rounds over two dead replicas: two refusals
+     per breaker.  The third request's first round brings each to the
+     default five samples and trips both; its second round is refused by
+     both breakers before anything is dialed. *)
+  let rc =
+    Rc.create_set ~retry:fast_retry
+      [ Client.Unix_path (fresh_sock ()); Client.Unix_path (fresh_sock ()) ]
+  in
+  let outcome () =
+    match Rc.request rc health with
+    | Error (Rc.Transport _) -> "transport"
+    | Error Rc.Open_circuit -> "open"
+    | Error f -> Rc.string_of_failure f
+    | Ok _ -> "ok"
+  in
+  let outcomes = List.init 3 (fun _ -> outcome ()) in
+  Alcotest.(check (list string))
+    "transport, transport, then fail fast"
+    [ "transport"; "transport"; "open" ]
+    outcomes;
   Rc.close rc
 
 (* -------------------------------------------------------------- supervise *)
@@ -463,13 +458,7 @@ let test_supervise_clears_stale_socket () =
 
 (* ---------------------------------------------------------- endpoint pool *)
 
-let pool_config =
-  {
-    Pool.default_config with
-    Pool.p2c = false;
-    reprobe_after = 0.05;
-    reprobe_max = 0.2;
-  }
+let pool_config = { Pool.p2c = false; reprobe_after = 0.05; reprobe_max = 0.2 }
 
 let pool_addrs n =
   List.init n (fun i ->
@@ -558,23 +547,23 @@ let test_multi_failover_to_live_replica () =
     ~finally:(fun () -> Server.drain t)
     (fun () ->
       let mc =
-        Rc.Multi.create ~timeout:5. ~retry:fast_retry ~pool_config
+        Rc.create_set ~timeout:5. ~retry:fast_retry ~pool_config
           [ Client.Unix_path dead; Client.Unix_path live ]
       in
       (* Rotation makes the dead endpoint the primary of the first
          request; the refused dial must fail over within the attempt. *)
-      (match Rc.Multi.request mc health with
+      (match Rc.request mc health with
       | Ok _ -> ()
       | Error f -> Alcotest.failf "request failed: %s" (Rc.string_of_failure f));
       Alcotest.(check bool)
-        (Printf.sprintf "failed over (%d)" (Rc.Multi.failovers mc))
+        (Printf.sprintf "failed over (%d)" (Rc.failovers mc))
         true
-        (Rc.Multi.failovers mc >= 1);
-      Alcotest.(check int) "hedging is off by default" 0 (Rc.Multi.hedges mc);
+        (Rc.failovers mc >= 1);
+      Alcotest.(check int) "hedging is off by default" 0 (Rc.hedges mc);
       Alcotest.(check string)
         "the dead replica is marked" "suspect"
-        (Pool.state_name (Pool.state (Rc.Multi.pool mc) 0));
-      Rc.Multi.close mc)
+        (Pool.state_name (Pool.state (Rc.pool mc) 0));
+      Rc.close mc)
 
 let test_multi_hedge_second_replica_wins () =
   (* A blackhole primary: bound and listening but never accepting, so
@@ -592,23 +581,23 @@ let test_multi_hedge_second_replica_wins () =
       Unix.close hole)
     (fun () ->
       let mc =
-        Rc.Multi.create ~timeout:5. ~retry:fast_retry ~pool_config
+        Rc.create_set ~timeout:5. ~retry:fast_retry ~pool_config
           ~hedge:
             {
-              Rc.Multi.default_hedge with
+              Rc.default_hedge with
               min_delay = 0.05;
               max_delay = 0.05;
               initial_delay = 0.05;
             }
           [ Client.Unix_path hole_path; Client.Unix_path live ]
       in
-      (match Rc.Multi.request mc health with
+      (match Rc.request mc health with
       | Ok _ -> ()
       | Error f ->
           Alcotest.failf "hedged request failed: %s" (Rc.string_of_failure f));
-      Alcotest.(check int) "one hedge fired" 1 (Rc.Multi.hedges mc);
-      Alcotest.(check int) "the hedge won" 1 (Rc.Multi.hedge_wins mc);
-      Rc.Multi.close mc)
+      Alcotest.(check int) "one hedge fired" 1 (Rc.hedges mc);
+      Alcotest.(check int) "the hedge won" 1 (Rc.hedge_wins mc);
+      Rc.close mc)
 
 (* ----------------------------------------------------------------- fleet *)
 
@@ -730,7 +719,6 @@ let () =
             test_breaker_half_open_failure_reopens;
           Alcotest.test_case "half-open race admits one" `Quick
             test_breaker_half_open_race;
-          Alcotest.test_case "state gauge" `Quick test_breaker_gauge;
         ] );
       ( "endpoint-pool",
         [
@@ -751,6 +739,8 @@ let () =
             test_rc_refused_is_classified;
           Alcotest.test_case "non-idempotent is single-shot" `Quick
             test_rc_non_idempotent_single_shot;
+          Alcotest.test_case "one endpoint has no breaker" `Quick
+            test_rc_one_endpoint_has_no_breaker;
           Alcotest.test_case "breaker fast-fails" `Quick test_rc_breaker_fast_fails;
         ] );
       ( "multi",

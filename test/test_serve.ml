@@ -668,6 +668,26 @@ let test_serve_disconnect_cancels () =
       let sim = result_exn (Client.request addr (sim_req ())) in
       Alcotest.(check bool) "worker reclaimed" true (field "metrics" sim <> None))
 
+let test_serve_one_shot_clients_are_not_disconnects () =
+  (* A client that reads its reply and hangs up at once has finished its
+     request: the job leaves the connection's in-flight list before the
+     reply is written, so the hang-up cannot be counted mid-request. *)
+  with_server ~config:{ small_server with Server.workers = 1 } (fun addr _t ->
+      for _ = 1 to 120 do
+        let (_ : Json.t) =
+          result_exn
+            (Client.request addr (sim_req ~k:64 ~load:(load ~n:256 ()) ()))
+        in
+        ()
+      done;
+      (* Every one-shot connection released: only the stats one is left. *)
+      let stats =
+        await_stats addr ~what:"one-shot connections released" (fun stats ->
+            int_field "connections" stats = 1)
+      in
+      Alcotest.(check int) "no mid-request disconnects" 0
+        (metric_value stats "mid_request_disconnects"))
+
 let test_serve_deadline_timeout () =
   let config = { small_server with Server.deadline = 0.3; grace = 0.2 } in
   with_server ~config (fun addr _t ->
@@ -1123,6 +1143,8 @@ let () =
           Alcotest.test_case "slow loris" `Quick test_serve_slow_loris;
           Alcotest.test_case "disconnect cancels in-flight work" `Quick
             test_serve_disconnect_cancels;
+          Alcotest.test_case "one-shot clients are not disconnects" `Quick
+            test_serve_one_shot_clients_are_not_disconnects;
           Alcotest.test_case "deadline timeout" `Quick test_serve_deadline_timeout;
           Alcotest.test_case "transient retry" `Quick test_serve_transient_retry;
           Alcotest.test_case "overload sheds explicitly" `Quick
