@@ -1,16 +1,14 @@
-(* gcprof: the profiling companion to bench/main.exe and gcserved.
+(* gcprof: the perf-regression gate for bench/main.exe manifests.
 
-   Subcommands:
-     gcprof compare OLD.json NEW.json
-         Gate a fresh bench manifest against a committed baseline: exit 1
-         when any policy's ns_per_access regressed by more than the
-         threshold (default 10%) or its minor allocation per access grew
-         beyond the allocation threshold.  The @bench-regress alias runs
-         this against the repo's committed BENCH_*.json.
-     gcprof trace DUMP.json OUT.json
-         Convert a raw span dump ({"spans": [...]}, the form written by
-         Gc_prof.Tracer.dump_to_json) into Chrome trace-event JSON,
-         loadable in Perfetto.  "-" reads stdin / writes stdout.
+   gcprof compare OLD.json NEW.json
+       Gate a fresh bench manifest against a committed baseline: exit 1
+       when any policy's ns_per_access regressed by more than the
+       threshold (default 10%) or its minor allocation per access grew
+       beyond the allocation threshold.  The @bench-regress alias runs
+       this against the repo's committed BENCH_*.json.
+
+   Span traces need no conversion: gcserved --trace writes Chrome
+   trace-event JSON (Gc_prof.Chrome) directly.
 
    Exit codes follow the shared contract (doc/ROBUSTNESS.md): 0 ok,
    1 runtime failure (missing/corrupt file, regression detected),
@@ -23,18 +21,14 @@ module Json = Gc_obs.Json
 
 let read_json path =
   let text =
-    if path = "-" then In_channel.input_all stdin
-    else
-      match In_channel.with_open_bin path In_channel.input_all with
-      | s -> s
-      | exception Sys_error msg -> Cli_common.fail_runtime "%s" msg
+    match In_channel.with_open_bin path In_channel.input_all with
+    | s -> s
+    | exception Sys_error msg -> Cli_common.fail_runtime "%s" msg
   in
   match Json.parse text with
   | Ok j -> j
   | Error e ->
-      Cli_common.fail_runtime "%s: %s"
-        (if path = "-" then "stdin" else path)
-        (Json.string_of_parse_error e)
+      Cli_common.fail_runtime "%s: %s" path (Json.string_of_parse_error e)
 
 type perf_row = {
   ns_per_access : float;
@@ -171,50 +165,12 @@ let compare_cmd =
                  the percentage, so near-zero baselines do not trip on \
                  noise (default 0.5)."))
 
-(* ----------------------------------------------------------------- trace *)
-
-let trace_cmd =
-  let trace in_path out_path =
-    match Gc_prof.Tracer.dump_of_json (read_json in_path) with
-    | Error msg ->
-        Cli_common.fail_runtime "%s: not a span dump: %s"
-          (if in_path = "-" then "stdin" else in_path)
-          msg
-    | Ok spans ->
-        let chrome = Gc_prof.Chrome.to_json spans in
-        if out_path = "-" then Format.printf "%a@." Json.pp chrome
-        else begin
-          Gc_obs.Export.write_json_atomic out_path chrome;
-          Format.eprintf "%d spans -> %s@." (List.length spans) out_path
-        end;
-        Cli_common.ok
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Convert a raw Gc_prof span dump to Chrome trace-event JSON \
-          (Perfetto-loadable)")
-    Term.(
-      const trace
-      $ Arg.(
-          required
-          & pos 0 (some string) None
-          & info [] ~docv:"DUMP"
-              ~doc:
-                "Raw span dump ({\"spans\": [...]}); $(b,-) reads stdin.")
-      $ Arg.(
-          value
-          & pos 1 string "-"
-          & info [] ~docv:"OUT"
-              ~doc:"Output path; $(b,-) (the default) writes stdout."))
-
 let () =
   let info =
-    Cmd.info "gcprof" ~doc:"Profiling artifacts: perf-regression gate and \
-                            trace conversion"
+    Cmd.info "gcprof" ~doc:"Perf-regression gate for bench manifests"
       ~exits:
         [
-          Cmd.Exit.info 0 ~doc:"on success (no regression; trace converted).";
+          Cmd.Exit.info 0 ~doc:"on success (no regression).";
           Cmd.Exit.info 1
             ~doc:
               "on runtime failure (missing or corrupt manifest, a detected \
@@ -222,4 +178,4 @@ let () =
           Cmd.Exit.info 2 ~doc:"on usage errors.";
         ]
   in
-  exit (Cli_common.eval (Cmd.group info [ compare_cmd; trace_cmd ]))
+  exit (Cli_common.eval (Cmd.group info [ compare_cmd ]))

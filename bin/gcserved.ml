@@ -209,14 +209,64 @@ let serve_cmd =
 
 (* ------------------------------------------------------------ supervise *)
 
+let server_exe_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "server" ] ~docv:"EXE"
+        ~doc:"The gcserved executable to spawn (default: this binary).")
+
+(* The supervision flags [supervise] and [fleet] share, as one term that
+   returns the override of a Supervise.config: each flag left unset keeps
+   the value of Supervise.default_config, which the help text names. *)
+let supervision_term =
+  let flag kind name docv doc =
+    Arg.(value & opt (some kind) None & info [ name ] ~docv ~doc)
+  in
+  let override health_interval health_timeout startup_grace wedge_threshold
+      restart_window max_restarts term_grace drain_grace
+      (c : Gc_resil.Supervise.config) =
+    let ( |? ) flag default = Option.value flag ~default in
+    {
+      c with
+      health_interval = health_interval |? c.health_interval;
+      health_timeout = health_timeout |? c.health_timeout;
+      startup_grace = startup_grace |? c.startup_grace;
+      wedge_threshold = wedge_threshold |? c.wedge_threshold;
+      restart_window = restart_window |? c.restart_window;
+      max_restarts = max_restarts |? c.max_restarts;
+      term_grace = term_grace |? c.term_grace;
+      drain_grace = drain_grace |? c.drain_grace;
+    }
+  in
+  Term.(
+    const override
+    $ flag Arg.float "health-interval" "SECONDS"
+        "Seconds between health probes (default 0.25)."
+    $ flag Arg.float "health-timeout" "SECONDS"
+        "Per-probe reply budget (default 2)."
+    $ flag Arg.float "startup-grace" "SECONDS"
+        "Budget for the first healthy probe after a spawn (default 10)."
+    $ flag Arg.int "wedge-threshold" "N"
+        "Consecutive failed probes that declare a live child wedged \
+         (default 8)."
+    $ flag Arg.float "restart-window" "SECONDS"
+        "Sliding window for the restart budget, per replica under \
+         $(b,fleet) (default 60)."
+    $ flag Arg.int "max-restarts" "N"
+        "Restarts allowed per window, per replica under $(b,fleet), before \
+         giving up (default 5)."
+    $ flag Arg.float "term-grace" "SECONDS"
+        "SIGTERM-to-SIGKILL grace for a wedged child (default 5)."
+    $ flag Arg.float "drain-grace" "SECONDS"
+        "How long a requested drain may take (default 30).")
+
 (* The watchdog: spawn `gcserved serve` as a child and keep it up.  All
    the machinery lives in Gc_resil.Supervise; this command wires flags,
    signals (first SIGTERM/SIGINT forwards the drain, a second hard-exits
    130 via the shared Supervisor contract), and the exit code: 0 after a
    clean drain, 3 when the restart budget is spent (give-up). *)
-let supervise socket tcp tcp_host server_exe child_args health_interval
-    health_timeout startup_grace wedge_threshold restart_window max_restarts
-    term_grace drain_grace seed =
+let supervise socket tcp tcp_host server_exe child_args supervision seed =
   let socket_path, tcp = listeners ~socket ~tcp ~tcp_host in
   let health_addr =
     match (socket_path, tcp) with
@@ -234,31 +284,13 @@ let supervise socket tcp tcp_host server_exe child_args health_interval
         | None -> [])
       @ child_args)
   in
-  let base = Gc_resil.Supervise.default_config ~argv ~health_addr in
+  let base =
+    supervision (Gc_resil.Supervise.default_config ~argv ~health_addr)
+  in
   let config =
     {
       base with
       Gc_resil.Supervise.socket_path;
-      health_interval =
-        Option.value health_interval
-          ~default:base.Gc_resil.Supervise.health_interval;
-      health_timeout =
-        Option.value health_timeout
-          ~default:base.Gc_resil.Supervise.health_timeout;
-      startup_grace =
-        Option.value startup_grace ~default:base.Gc_resil.Supervise.startup_grace;
-      wedge_threshold =
-        Option.value wedge_threshold
-          ~default:base.Gc_resil.Supervise.wedge_threshold;
-      restart_window =
-        Option.value restart_window
-          ~default:base.Gc_resil.Supervise.restart_window;
-      max_restarts =
-        Option.value max_restarts ~default:base.Gc_resil.Supervise.max_restarts;
-      term_grace =
-        Option.value term_grace ~default:base.Gc_resil.Supervise.term_grace;
-      drain_grace =
-        Option.value drain_grace ~default:base.Gc_resil.Supervise.drain_grace;
       seed = Option.value seed ~default:base.Gc_resil.Supervise.seed;
     }
   in
@@ -294,61 +326,12 @@ let supervise_cmd =
           budget is spent.  Arguments after $(b,--) are passed to the \
           child's $(b,serve) command.")
     Term.(
-      const supervise $ socket_arg $ tcp_arg $ tcp_host_arg
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "server" ] ~docv:"EXE"
-              ~doc:
-                "The gcserved executable to spawn (default: this binary).")
+      const supervise $ socket_arg $ tcp_arg $ tcp_host_arg $ server_exe_arg
       $ Arg.(
           value & pos_all string []
           & info [] ~docv:"SERVE_ARG"
               ~doc:"Extra flags for the child's $(b,serve) command.")
-      $ Arg.(
-          value
-          & opt (some float) None
-          & info [ "health-interval" ] ~docv:"SECONDS"
-              ~doc:"Seconds between health probes (default 0.25).")
-      $ Arg.(
-          value
-          & opt (some float) None
-          & info [ "health-timeout" ] ~docv:"SECONDS"
-              ~doc:"Per-probe reply budget (default 2).")
-      $ Arg.(
-          value
-          & opt (some float) None
-          & info [ "startup-grace" ] ~docv:"SECONDS"
-              ~doc:"Budget for the first healthy probe after a spawn (default 10).")
-      $ Arg.(
-          value
-          & opt (some int) None
-          & info [ "wedge-threshold" ] ~docv:"N"
-              ~doc:
-                "Consecutive failed probes that declare a live child \
-                 wedged (default 8).")
-      $ Arg.(
-          value
-          & opt (some float) None
-          & info [ "restart-window" ] ~docv:"SECONDS"
-              ~doc:"Sliding window for the restart budget (default 60).")
-      $ Arg.(
-          value
-          & opt (some int) None
-          & info [ "max-restarts" ] ~docv:"N"
-              ~doc:
-                "Restarts allowed per window before giving up with exit 3 \
-                 (default 5).")
-      $ Arg.(
-          value
-          & opt (some float) None
-          & info [ "term-grace" ] ~docv:"SECONDS"
-              ~doc:"SIGTERM-to-SIGKILL grace for a wedged child (default 5).")
-      $ Arg.(
-          value
-          & opt (some float) None
-          & info [ "drain-grace" ] ~docv:"SECONDS"
-              ~doc:"How long a requested drain may take (default 30).")
+      $ supervision_term
       $ Arg.(
           value
           & opt (some int) None
@@ -361,9 +344,7 @@ let supervise_cmd =
    budget each (Gc_resil.Fleet).  One crash-looping replica spends its
    own budget and goes dark while the rest keep serving; only when every
    replica has given up does the fleet exit 3. *)
-let fleet socket replicas server_exe child_args health_interval health_timeout
-    startup_grace wedge_threshold restart_window max_restarts term_grace
-    drain_grace seed manifest =
+let fleet socket replicas server_exe child_args supervision seed manifest =
   if replicas < 1 then Cli_common.fail_usage "--replicas must be >= 1";
   let base_socket = Option.value socket ~default:"gcserved.sock" in
   let base_seed = Option.value seed ~default:0 in
@@ -375,33 +356,12 @@ let fleet socket replicas server_exe child_args health_interval health_timeout
       Array.of_list
         ([ exe; "serve"; "--socket"; sock; "--name"; name ] @ child_args)
     in
-    let base =
-      Gc_resil.Supervise.default_config ~argv
-        ~health_addr:(Gc_serve.Client.Unix_path sock)
-    in
     {
-      base with
+      (supervision
+         (Gc_resil.Supervise.default_config ~argv
+            ~health_addr:(Gc_serve.Client.Unix_path sock)))
+      with
       Gc_resil.Supervise.socket_path = Some sock;
-      health_interval =
-        Option.value health_interval
-          ~default:base.Gc_resil.Supervise.health_interval;
-      health_timeout =
-        Option.value health_timeout
-          ~default:base.Gc_resil.Supervise.health_timeout;
-      startup_grace =
-        Option.value startup_grace ~default:base.Gc_resil.Supervise.startup_grace;
-      wedge_threshold =
-        Option.value wedge_threshold
-          ~default:base.Gc_resil.Supervise.wedge_threshold;
-      restart_window =
-        Option.value restart_window
-          ~default:base.Gc_resil.Supervise.restart_window;
-      max_restarts =
-        Option.value max_restarts ~default:base.Gc_resil.Supervise.max_restarts;
-      term_grace =
-        Option.value term_grace ~default:base.Gc_resil.Supervise.term_grace;
-      drain_grace =
-        Option.value drain_grace ~default:base.Gc_resil.Supervise.drain_grace;
       (* Distinct seeds: backoff jitter must never synchronize restarts
          across the set. *)
       seed = base_seed + i;
@@ -490,58 +450,12 @@ let fleet_cmd =
           value & opt int 3
           & info [ "replicas" ] ~docv:"N"
               ~doc:"Replica count (default 3).")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "server" ] ~docv:"EXE"
-              ~doc:
-                "The gcserved executable to spawn (default: this binary).")
+      $ server_exe_arg
       $ Arg.(
           value & pos_all string []
           & info [] ~docv:"SERVE_ARG"
               ~doc:"Extra flags for each child's $(b,serve) command.")
-      $ Arg.(
-          value
-          & opt (some float) None
-          & info [ "health-interval" ] ~docv:"SECONDS"
-              ~doc:"Seconds between health probes (default 0.25).")
-      $ Arg.(
-          value
-          & opt (some float) None
-          & info [ "health-timeout" ] ~docv:"SECONDS"
-              ~doc:"Per-probe reply budget (default 2).")
-      $ Arg.(
-          value
-          & opt (some float) None
-          & info [ "startup-grace" ] ~docv:"SECONDS"
-              ~doc:"Budget for the first healthy probe after a spawn (default 10).")
-      $ Arg.(
-          value
-          & opt (some int) None
-          & info [ "wedge-threshold" ] ~docv:"N"
-              ~doc:
-                "Consecutive failed probes that declare a live child \
-                 wedged (default 8).")
-      $ Arg.(
-          value
-          & opt (some float) None
-          & info [ "restart-window" ] ~docv:"SECONDS"
-              ~doc:"Sliding window for each replica's restart budget (default 60).")
-      $ Arg.(
-          value
-          & opt (some int) None
-          & info [ "max-restarts" ] ~docv:"N"
-              ~doc:"Restarts allowed per window, per replica (default 5).")
-      $ Arg.(
-          value
-          & opt (some float) None
-          & info [ "term-grace" ] ~docv:"SECONDS"
-              ~doc:"SIGTERM-to-SIGKILL grace for a wedged child (default 5).")
-      $ Arg.(
-          value
-          & opt (some float) None
-          & info [ "drain-grace" ] ~docv:"SECONDS"
-              ~doc:"How long a requested drain may take (default 30).")
+      $ supervision_term
       $ Arg.(
           value
           & opt (some int) None

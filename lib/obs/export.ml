@@ -1,61 +1,3 @@
-let needs_quoting s =
-  String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
-
-let csv_field s =
-  if not (needs_quoting s) then s
-  else begin
-    let buf = Buffer.create (String.length s + 8) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
-
-let csv_row fields = String.concat "," (List.map csv_field fields)
-
-let csv ~header rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (csv_row header);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun row ->
-      Buffer.add_string buf (csv_row row);
-      Buffer.add_char buf '\n')
-    rows;
-  Buffer.contents buf
-
-let label_string labels =
-  String.concat ";" (List.map (fun (key, v) -> key ^ "=" ^ v) labels)
-
-let registry_csv reg =
-  let opt = function Some v -> string_of_int v | None -> "" in
-  let rows =
-    List.map
-      (fun (name, labels, metric) ->
-        match metric with
-        | Registry.Counter c ->
-            [ name; label_string labels; "counter";
-              string_of_int (Registry.counter_value c); ""; ""; ""; ""; "" ]
-        | Registry.Gauge g ->
-            [ name; label_string labels; "gauge";
-              string_of_int (Registry.gauge_value g); ""; ""; ""; ""; "" ]
-        | Registry.Histogram h ->
-            [ name; label_string labels; "histogram"; "";
-              string_of_int (Histogram.count h);
-              string_of_int (Histogram.sum h);
-              Printf.sprintf "%.6g" (Histogram.mean h);
-              opt (Histogram.min_value h);
-              opt (Histogram.max_value h) ])
-      (Registry.rows reg)
-  in
-  csv
-    ~header:
-      [ "name"; "labels"; "type"; "value"; "count"; "sum"; "mean"; "min"; "max" ]
-    rows
-
 (* ------------------------------------------------ Prometheus exposition *)
 
 (* Prometheus text exposition format (version 0.0.4): one "# TYPE" header
@@ -159,31 +101,8 @@ let render_prometheus rows =
     names;
   Buffer.contents buf
 
-let prometheus reg =
-  let rows =
-    List.map
-      (fun (name, labels, metric) ->
-        let p_metric =
-          match metric with
-          | Registry.Counter c ->
-              Prom_value ("counter", Registry.counter_value c)
-          | Registry.Gauge g -> Prom_value ("gauge", Registry.gauge_value g)
-          | Registry.Histogram h ->
-              Prom_hist
-                {
-                  hcount = Histogram.count h;
-                  hsum = Histogram.sum h;
-                  hbuckets =
-                    List.map (fun (_, hi, n) -> (hi, n)) (Histogram.buckets h);
-                }
-        in
-        { p_name = name; p_labels = labels; p_metric })
-      (Registry.rows reg)
-  in
-  render_prometheus rows
-
-(* The same text from a [Registry.to_json] snapshot, for consumers that
-   only hold the wire form (e.g. [gcserved client stats --prom]). *)
+(* The text from a [Registry.to_json] snapshot, the wire form served by
+   [gcserved]'s stats op (e.g. [gcserved client stats --prom]). *)
 let prometheus_of_json json =
   let ( let* ) = Result.bind in
   let str = function Json.String s -> Ok s | _ -> Error "expected a string" in

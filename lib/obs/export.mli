@@ -1,32 +1,14 @@
-(** File and CSV encoders for run artifacts. *)
-
-val csv_field : string -> string
-(** RFC-4180 quoting: fields containing commas, double quotes, CR or LF are
-    quoted, with inner quotes doubled; everything else passes through. *)
-
-val csv_row : string list -> string
-(** One line, no trailing newline. *)
-
-val csv : header:string list -> string list list -> string
-(** Header plus rows, each newline-terminated. *)
-
-val registry_csv : Registry.t -> string
-(** One row per metric:
-    [name,labels,type,value,count,sum,mean,min,max] — counters and gauges
-    fill [value]; histograms fill the summary columns. *)
-
-val prometheus : Registry.t -> string
-(** Prometheus text exposition (format 0.0.4) of every metric in the
-    registry: a [# TYPE] header per metric name with all of the name's
-    labeled samples grouped under it, metric and label names sanitised
-    to the Prometheus charset, label values escaped.  Histograms render
-    as cumulative [_bucket] samples ([le] = the log bucket's inclusive
-    upper edge, plus [+Inf]) with [_sum] and [_count]. *)
+(** Artifact writers and the Prometheus exposition of a metrics snapshot. *)
 
 val prometheus_of_json : Json.t -> (string, string) result
-(** The same exposition text, rendered from a {!Registry.to_json}
-    snapshot (the shape served by [gcserved]'s stats op) rather than a
-    live registry.  [Error] describes the first malformed row. *)
+(** Prometheus text exposition (format 0.0.4) of a {!Registry.to_json}
+    snapshot — the shape served by [gcserved]'s stats op: a [# TYPE]
+    header per metric name with all of the name's labeled samples
+    grouped under it, metric and label names sanitised to the Prometheus
+    charset, label values escaped.  Histograms render as cumulative
+    [_bucket] samples ([le] = the log bucket's inclusive upper edge, plus
+    [+Inf]) with [_sum] and [_count].  [Error] describes the first
+    malformed row. *)
 
 exception Crashed_before_rename
 

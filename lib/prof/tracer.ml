@@ -1,5 +1,3 @@
-module Json = Gc_obs.Json
-
 (* A completed span, as returned by [dump].  [ts_ns] is a monotonic
    Clock reading; [dur_ns] the measured extent; the three word counts
    are Gc.quick_stat deltas across the span. *)
@@ -16,10 +14,9 @@ type span = {
 
 (* Ring slots are preallocated and mutated in place: recording a span
    writes fields of an existing slot, it never allocates.  [seq] is the
-   claim ticket (the ring's running counter value at claim time); a
-   [leave] whose ticket no longer matches the slot lost the slot to a
-   wraparound and drops its measurement.  [s_dur] is -1 while the span
-   is open; [dump] skips open slots. *)
+   claim ticket; a [leave] whose ticket no longer matches the slot lost
+   the slot to a wraparound or a restart and drops its measurement.
+   [s_dur] is -1 while the span is open; [dump] skips open slots. *)
 type slot = {
   mutable seq : int;
   mutable s_name : string;
@@ -32,23 +29,24 @@ type slot = {
   mutable s_args : (string * string) list;
 }
 
-type ring = { epoch : int; slots : slot array; next : int Atomic.t }
-
-let default_capacity = 4096
+let default_capacity = 65536
 
 (* [enabled] is the whole cost of the null tracer: one Atomic.get on
    the hot path, no allocation, no clock read.  Everything else is only
    touched when tracing is on. *)
 let enabled_flag = Atomic.make false
-let capacity = Atomic.make default_capacity
 
-(* Bumped by [start]: rings created under an older epoch are stale and
-   get replaced lazily by the owning domain. *)
-let epoch_now = Atomic.make 0
-let rings : ring list ref = ref []
-let rings_mu = Mutex.create ()
+(* One ring for the whole process, replaced only by [start].  Tickets
+   come from [next], which is never reset: a ticket claimed before a
+   [start] can never equal the [seq] of a slot in the new ring, so a
+   [leave] straddling a restart drops its span instead of closing
+   someone else's.  [enter] and [emit] read the ring before taking a
+   ticket, so a span claimed across a [start] lands in the old ring and
+   is lost, never in the new one. *)
+let ring : slot array Atomic.t = Atomic.make [||]
+let next = Atomic.make 0
 
-let fresh_slot () =
+let fresh_slot _ =
   {
     seq = -1;
     s_name = "";
@@ -61,59 +59,27 @@ let fresh_slot () =
     s_args = [];
   }
 
-let make_ring () =
-  let cap = Atomic.get capacity in
-  let r =
-    {
-      epoch = Atomic.get epoch_now;
-      slots = Array.init cap (fun _ -> fresh_slot ());
-      next = Atomic.make 0;
-    }
-  in
-  Mutex.lock rings_mu;
-  rings := r :: !rings;
-  Mutex.unlock rings_mu;
-  r
-
-let ring_key : ring Domain.DLS.key = Domain.DLS.new_key make_ring
-
-(* The calling domain's ring, replacing a stale one from a previous
-   [start].  Only reached when tracing is enabled. *)
-let my_ring () =
-  let r = Domain.DLS.get ring_key in
-  if r.epoch = Atomic.get epoch_now then r
-  else begin
-    let r = make_ring () in
-    Domain.DLS.set ring_key r;
-    r
-  end
-
 let round_up_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
+
+let slot_of slots ticket = slots.(ticket land (Array.length slots - 1))
 
 let enabled () = Atomic.get enabled_flag
 
 let stop () = Atomic.set enabled_flag false
 
-let reset_rings cap =
-  Mutex.lock rings_mu;
-  Atomic.set capacity cap;
-  Atomic.incr epoch_now;
-  rings := [];
-  Mutex.unlock rings_mu
-
 let start ?capacity:(cap = default_capacity) () =
   if cap < 1 then invalid_arg "Tracer.start: capacity must be positive";
-  reset_rings (round_up_pow2 cap);
+  Atomic.set ring (Array.init (round_up_pow2 cap) fresh_slot);
   Atomic.set enabled_flag true
 
 let enter ?(args = []) ?(tid = -1) name =
   if not (Atomic.get enabled_flag) then -1
   else begin
-    let r = my_ring () in
-    let ticket = Atomic.fetch_and_add r.next 1 in
-    let slot = r.slots.(ticket land (Array.length r.slots - 1)) in
+    let slots = Atomic.get ring in
+    let ticket = Atomic.fetch_and_add next 1 in
+    let slot = slot_of slots ticket in
     let st = Gc.quick_stat () in
     slot.seq <- ticket;
     slot.s_name <- name;
@@ -130,8 +96,7 @@ let enter ?(args = []) ?(tid = -1) name =
 let leave ticket =
   if ticket >= 0 then begin
     let stop_ns = Clock.now_ns () in
-    let r = my_ring () in
-    let slot = r.slots.(ticket land (Array.length r.slots - 1)) in
+    let slot = slot_of (Atomic.get ring) ticket in
     if slot.seq = ticket then begin
       let st = Gc.quick_stat () in
       slot.s_dur <- stop_ns - slot.s_ts;
@@ -143,9 +108,9 @@ let leave ticket =
 
 let emit ?(args = []) ?(tid = -1) ~ts_ns ~dur_ns name =
   if Atomic.get enabled_flag then begin
-    let r = my_ring () in
-    let ticket = Atomic.fetch_and_add r.next 1 in
-    let slot = r.slots.(ticket land (Array.length r.slots - 1)) in
+    let slots = Atomic.get ring in
+    let ticket = Atomic.fetch_and_add next 1 in
+    let slot = slot_of slots ticket in
     slot.seq <- ticket;
     slot.s_name <- name;
     slot.s_tid <- (if tid >= 0 then tid else (Domain.self () :> int));
@@ -158,101 +123,20 @@ let emit ?(args = []) ?(tid = -1) ~ts_ns ~dur_ns name =
   end
 
 let dump () =
-  let rs =
-    Mutex.lock rings_mu;
-    let rs = !rings in
-    Mutex.unlock rings_mu;
-    rs
-  in
-  let spans = ref [] in
-  List.iter
-    (fun r ->
-      Array.iter
-        (fun slot ->
-          if slot.seq >= 0 && slot.s_dur >= 0 then
-            spans :=
-              {
-                name = slot.s_name;
-                tid = slot.s_tid;
-                ts_ns = slot.s_ts;
-                dur_ns = slot.s_dur;
-                minor_words = slot.s_minor;
-                major_words = slot.s_major;
-                promoted_words = slot.s_promoted;
-                args = slot.s_args;
-              }
-              :: !spans)
-        r.slots)
-    rs;
-  List.sort (fun a b -> compare (a.ts_ns, a.tid) (b.ts_ns, b.tid)) !spans
-
-(* ------------------------------------------------- raw span dump JSON *)
-
-let span_to_json s =
-  Json.Obj
-    [
-      ("name", Json.String s.name);
-      ("tid", Json.Int s.tid);
-      ("ts_ns", Json.Int s.ts_ns);
-      ("dur_ns", Json.Int s.dur_ns);
-      ("minor_words", Json.Float s.minor_words);
-      ("major_words", Json.Float s.major_words);
-      ("promoted_words", Json.Float s.promoted_words);
-      ( "args",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) s.args) );
-    ]
-
-let dump_to_json spans =
-  Json.Obj [ ("spans", Json.Array (List.map span_to_json spans)) ]
-
-let span_of_json j =
-  let ( let* ) = Result.bind in
-  let int name =
-    match Json.member name j with
-    | Some (Json.Int n) -> Ok n
-    | _ -> Error (Printf.sprintf "span field %S: expected an int" name)
-  in
-  let num name =
-    match Json.member name j with
-    | Some (Json.Float f) -> Ok f
-    | Some (Json.Int n) -> Ok (float_of_int n)
-    | _ -> Error (Printf.sprintf "span field %S: expected a number" name)
-  in
-  let* name =
-    match Json.member "name" j with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error "span field \"name\": expected a string"
-  in
-  let* tid = int "tid" in
-  let* ts_ns = int "ts_ns" in
-  let* dur_ns = int "dur_ns" in
-  let* minor_words = num "minor_words" in
-  let* major_words = num "major_words" in
-  let* promoted_words = num "promoted_words" in
-  let* args =
-    match Json.member "args" j with
-    | None | Some (Json.Obj []) -> Ok []
-    | Some (Json.Obj kvs) ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | (k, Json.String v) :: rest -> go ((k, v) :: acc) rest
-          | (k, _) :: _ ->
-              Error (Printf.sprintf "span arg %S: expected a string" k)
-        in
-        go [] kvs
-    | Some _ -> Error "span field \"args\": expected an object"
-  in
-  Ok { name; tid; ts_ns; dur_ns; minor_words; major_words; promoted_words; args }
-
-let dump_of_json j =
-  match Json.member "spans" j with
-  | Some (Json.Array items) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest -> (
-            match span_of_json item with
-            | Ok s -> go (s :: acc) rest
-            | Error _ as e -> e)
-      in
-      go [] items
-  | _ -> Error "span dump: expected a top-level {\"spans\": [...]} object"
+  Array.fold_left
+    (fun spans slot ->
+      if slot.seq >= 0 && slot.s_dur >= 0 then
+        {
+          name = slot.s_name;
+          tid = slot.s_tid;
+          ts_ns = slot.s_ts;
+          dur_ns = slot.s_dur;
+          minor_words = slot.s_minor;
+          major_words = slot.s_major;
+          promoted_words = slot.s_promoted;
+          args = slot.s_args;
+        }
+        :: spans
+      else spans)
+    [] (Atomic.get ring)
+  |> List.sort (fun a b -> compare (a.ts_ns, a.tid) (b.ts_ns, b.tid))

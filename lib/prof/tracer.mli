@@ -1,11 +1,12 @@
 (** Lock-free span recording.
 
-    Spans buffer into per-domain rings of preallocated slots: recording
-    mutates slot fields in place (no allocation beyond what the caller
-    passes as [args]), slots are claimed with an atomic ticket so
-    sys-threads sharing a domain cannot race on a slot, and an old span
-    is silently overwritten once the ring wraps — a tracer never blocks
-    or grows without bound.
+    Spans buffer into one ring of preallocated slots for the whole
+    process, allocated by {!start}: recording mutates slot fields in
+    place (no allocation beyond what the caller passes as [args]), every
+    domain and sys-thread claims its slot from one atomic ticket counter,
+    and the oldest span is silently overwritten once the ring wraps — a
+    tracer never blocks, and its memory does not grow with the number of
+    domains or spans.
 
     When tracing is disabled (the default, and after [stop]) the whole
     layer is a null tracer: [enter] is one [Atomic.get] and returns a
@@ -25,9 +26,12 @@ type span = {
 }
 
 val start : ?capacity:int -> unit -> unit
-(** Enable tracing with fresh rings of [capacity] slots per domain
-    (rounded up to a power of two, default 4096).  Spans recorded before
-    a [start] are discarded. *)
+(** Enable tracing with a fresh ring of [capacity] slots for the whole
+    process (rounded up to a power of two; the default 65536 takes about
+    6 MB, 9 MB once every slot has held a span).  This is the only
+    allocation of slots.  Spans recorded before a
+    [start] are discarded, and a span entered before it is dropped at
+    its [leave]. *)
 
 val stop : unit -> unit
 (** Disable recording.  Already-recorded spans stay available to
@@ -44,7 +48,8 @@ val enter : ?args:(string * string) list -> ?tid:int -> string -> int
 
 val leave : int -> unit
 (** Close the span opened by [enter].  Dropped silently if the ring
-    wrapped over the slot in between, or when the ticket is negative. *)
+    wrapped over the slot or tracing was restarted in between, or when
+    the ticket is negative. *)
 
 val emit :
   ?args:(string * string) list ->
@@ -58,15 +63,7 @@ val emit :
     zero for emitted spans. *)
 
 val dump : unit -> span list
-(** Every completed span across all domains, sorted by start time.
-    Open spans (entered, not yet left) and spans lost to ring wraparound
-    are omitted.  Meant to be called once work has quiesced. *)
-
-val span_to_json : span -> Gc_obs.Json.t
-val span_of_json : Gc_obs.Json.t -> (span, string) result
-
-val dump_to_json : span list -> Gc_obs.Json.t
-(** Raw span-dump document: [{"spans": [...]}].  [gcprof trace] converts
-    this form to Chrome trace-event JSON. *)
-
-val dump_of_json : Gc_obs.Json.t -> (span list, string) result
+(** Every completed span in the ring, from all domains, sorted by start
+    time, then track id.  Open spans (entered, not yet left) and spans
+    lost to ring wraparound are omitted.  Meant to be called once work
+    has quiesced. *)

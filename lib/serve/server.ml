@@ -783,15 +783,27 @@ let create config =
   (* A client closing mid-write must be an EPIPE, not a process kill. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
+  (* Bind in a fixed order; a failed create must leave nothing bound
+     behind, or the port stays taken for the life of the process. *)
+  let unix_fd = Option.map bind_unix config.socket_path in
+  let tcp_fd =
+    match config.tcp with
+    | None -> None
+    | Some (h, p) -> (
+        match bind_tcp h p with
+        | fd -> Some fd
+        | exception e ->
+            Option.iter
+              (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+              unix_fd;
+            Option.iter
+              (fun path -> try Sys.remove path with Sys_error _ -> ())
+              config.socket_path;
+            raise e)
+  in
+  let listeners = List.filter_map Fun.id [ unix_fd; tcp_fd ] in
   if config.trace <> None then Tracer.start ();
   let reg = Registry.create () in
-  let listeners =
-    List.filter_map Fun.id
-      [
-        Option.map bind_unix config.socket_path;
-        Option.map (fun (h, p) -> bind_tcp h p) config.tcp;
-      ]
-  in
   let t =
     {
       config;

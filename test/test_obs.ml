@@ -1,7 +1,7 @@
 (* Tests for the Gc_obs observability layer: JSON encode/decode round
    trips, histogram bucketing, the metric registry, sinks, the standard
-   probe on a hand-built event stream, CSV export, and a golden-file check
-   of the run manifest. *)
+   probe on a hand-built event stream, the Prometheus exposition, and a
+   golden-file check of the run manifest. *)
 
 open Gc_obs
 
@@ -346,31 +346,6 @@ let test_probe_on_synthetic_stream () =
   Alcotest.(check int) "occupancy now" 2
     (Registry.gauge_value (Registry.gauge reg "occupancy_now"))
 
-(* ------------------------------------------------------------------- csv *)
-
-let test_csv_escaping () =
-  Alcotest.(check string) "plain passes through" "abc" (Export.csv_field "abc");
-  Alcotest.(check string) "comma quoted" "\"a,b\"" (Export.csv_field "a,b");
-  Alcotest.(check string) "quote doubled" "\"a\"\"b\"" (Export.csv_field "a\"b");
-  Alcotest.(check string) "newline quoted" "\"a\nb\"" (Export.csv_field "a\nb");
-  Alcotest.(check string) "row" "a,\"b,c\",d" (Export.csv_row [ "a"; "b,c"; "d" ]);
-  Alcotest.(check string) "header + rows" "h1,h2\nx,y\n"
-    (Export.csv ~header:[ "h1"; "h2" ] [ [ "x"; "y" ] ])
-
-let test_registry_csv () =
-  let reg = Registry.create () in
-  Registry.add (Registry.counter reg ~labels:[ ("policy", "lru") ] "hits") 7;
-  let h = Registry.histogram reg "widths" in
-  List.iter (Histogram.observe h) [ 2; 4 ];
-  let lines = String.split_on_char '\n' (String.trim (Export.registry_csv reg)) in
-  Alcotest.(check int) "header + 2 rows" 3 (List.length lines);
-  Alcotest.(check string) "header"
-    "name,labels,type,value,count,sum,mean,min,max" (List.hd lines);
-  Alcotest.(check string) "counter row" "hits,policy=lru,counter,7,,,,,"
-    (List.nth lines 1);
-  Alcotest.(check string) "histogram row" "widths,,histogram,,2,6,3,2,4"
-    (List.nth lines 2)
-
 (* -------------------------------------------------------------prometheus *)
 
 let prom_fixture () =
@@ -400,8 +375,9 @@ let prom_expected =
     ]
 
 let test_prometheus_exposition () =
-  Alcotest.(check string) "exposition text" prom_expected
-    (Export.prometheus (prom_fixture ()))
+  match Export.prometheus_of_json (Registry.to_json (prom_fixture ())) with
+  | Ok text -> Alcotest.(check string) "exposition text" prom_expected text
+  | Error msg -> Alcotest.failf "prometheus_of_json failed: %s" msg
 
 let test_prometheus_of_json () =
   let reg = prom_fixture () in
@@ -533,11 +509,6 @@ let () =
         [
           Alcotest.test_case "synthetic stream" `Quick
             test_probe_on_synthetic_stream;
-        ] );
-      ( "csv",
-        [
-          Alcotest.test_case "escaping" `Quick test_csv_escaping;
-          Alcotest.test_case "registry export" `Quick test_registry_csv;
         ] );
       ( "prometheus",
         [

@@ -1,12 +1,12 @@
-(* Gc_prof: the span tracer (enter/leave/emit, rings, restart), the
-   scoped Span.with_ wrapper, nesting under concurrent Pool tasks, the
-   Chrome trace-event export (golden file), the raw span-dump JSON round
-   trip, the zero-allocation guarantee of the disabled path — including
-   on the simulator access loop — and the gcprof CLI (trace conversion
-   and the perf-regression compare gate, with its exit-code contract).
+(* Gc_prof: the span tracer (enter/leave/emit, the process-wide ring,
+   restart), the scoped Span.with_ wrapper, nesting under concurrent Pool
+   tasks, the Chrome trace-event export (golden file), the
+   zero-allocation guarantee of the disabled path — including on the
+   simulator access loop — and the gcprof perf-regression compare gate,
+   with its exit-code contract.
 
    Tracer state is global; every test that records starts with
-   [Tracer.start] (fresh rings discard earlier spans) and stops before
+   [Tracer.start] (a fresh ring discards earlier spans) and stops before
    dumping, so order between tests does not matter. *)
 
 module Json = Gc_obs.Json
@@ -80,9 +80,14 @@ let test_disabled_is_null () =
 
 let test_restart_discards () =
   Tracer.start ();
+  let straddling = Tracer.enter "straddling" in
   Tracer.leave (Tracer.enter "stale");
   Tracer.start ();
-  Tracer.leave (Tracer.enter "fresh");
+  let fresh = Tracer.enter "fresh" in
+  Tracer.leave straddling;
+  Alcotest.(check int) "a ticket from before the restart closes nothing" 0
+    (List.length (Tracer.dump ()));
+  Tracer.leave fresh;
   Tracer.stop ();
   let spans = Tracer.dump () in
   Alcotest.(check int) "only the post-restart span" 1 (List.length spans);
@@ -102,6 +107,46 @@ let test_ring_wraparound () =
   Alcotest.(check int) "the latest span survives" 1
     (List.length (find_spans "s10" spans))
 
+(* Run [task] as a one-task Pool.run: a fresh domain, as gcserved gives
+   every request. *)
+let on_own_domain task =
+  match Pool.run [ (fun ~cancel:_ -> task ()) ] with
+  | [ Pool.Done () ] -> ()
+  | _ -> Alcotest.fail "pool task did not complete"
+
+let test_ring_bounded_across_domains () =
+  Tracer.start ~capacity:64 ();
+  for d = 0 to 7 do
+    on_own_domain (fun () ->
+        for i = 0 to 31 do
+          Tracer.leave (Tracer.enter (Printf.sprintf "d%d.s%d" d i))
+        done)
+  done;
+  Tracer.stop ();
+  let spans = Tracer.dump () in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 64 spans kept across 8 domains (got %d)"
+       (List.length spans))
+    true
+    (List.length spans <= 64);
+  Alcotest.(check int) "the last span recorded survives" 1
+    (List.length (find_spans "d7.s31" spans))
+
+let test_memory_flat_across_domains () =
+  Tracer.start ();
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live_words () in
+  for _ = 1 to 200 do
+    on_own_domain (fun () -> Span.with_ "one" (fun () -> ()))
+  done;
+  Tracer.stop ();
+  let grown = live_words () - before in
+  if grown >= 1_000_000 then
+    Alcotest.failf "live heap grew %d words over 200 traced domains" grown
+
 let test_span_with_exception () =
   Tracer.start ();
   (match Span.with_ "boom" (fun () -> raise Exit) with
@@ -114,29 +159,6 @@ let test_span_with_exception () =
   Alcotest.(check int) "raising span still closed" 1
     (List.length (find_spans "boom" spans));
   Alcotest.(check int) "value span closed" 1 (List.length (find_spans "ok" spans))
-
-(* ------------------------------------------------------- json round trip *)
-
-let test_dump_json_roundtrip () =
-  let spans = Test_util.chrome_fixture_spans in
-  let reparsed =
-    Test_util.parse_json (Json.to_string (Tracer.dump_to_json spans))
-  in
-  match Tracer.dump_of_json reparsed with
-  | Ok back ->
-      Alcotest.(check int) "length" (List.length spans) (List.length back);
-      List.iter2
-        (fun a b ->
-          Alcotest.(check bool)
-            (Printf.sprintf "span %s round-trips" a.Tracer.name)
-            true (a = b))
-        spans back
-  | Error msg -> Alcotest.failf "dump_of_json: %s" msg
-
-let test_dump_of_json_rejects_garbage () =
-  match Tracer.dump_of_json (Json.Obj [ ("spans", Json.Int 3) ]) with
-  | Error _ -> ()
-  | Ok spans -> Alcotest.failf "accepted garbage as %d spans" (List.length spans)
 
 (* ----------------------------------------------------------chrome export *)
 
@@ -427,26 +449,6 @@ let test_gcprof_compare_errors () =
   Sys.remove corrupt;
   Sys.remove ok
 
-let test_gcprof_trace_converts () =
-  let dump =
-    temp_json "dump" (Tracer.dump_to_json Test_util.chrome_fixture_spans)
-  in
-  let out_path = Filename.temp_file "gc_prof_chrome" ".json" in
-  let code, _ = exec (Printf.sprintf "%s trace %s %s" gcprof dump out_path) in
-  Alcotest.(check int) "trace exits 0" 0 code;
-  let converted = Test_util.parse_json_file out_path in
-  Alcotest.(check string) "chrome document matches the library export"
-    (Json.to_string (Chrome.to_json Test_util.chrome_fixture_spans))
-    (Json.to_string converted);
-  Sys.remove dump;
-  Sys.remove out_path
-
-let test_gcprof_trace_rejects_non_dump () =
-  let not_dump = temp_json "notdump" (Json.Obj [ ("spans", Json.Int 1) ]) in
-  let code, _ = exec (Printf.sprintf "%s trace %s -" gcprof not_dump) in
-  Alcotest.(check int) "non-dump input exits 1" 1 code;
-  Sys.remove not_dump
-
 let () =
   Alcotest.run "prof"
     [
@@ -457,14 +459,12 @@ let () =
           Alcotest.test_case "disabled is null" `Quick test_disabled_is_null;
           Alcotest.test_case "restart discards" `Quick test_restart_discards;
           Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
+          Alcotest.test_case "one ring across domains" `Quick
+            test_ring_bounded_across_domains;
+          Alcotest.test_case "memory flat across domains" `Quick
+            test_memory_flat_across_domains;
           Alcotest.test_case "with_ closes on exception" `Quick
             test_span_with_exception;
-        ] );
-      ( "json",
-        [
-          Alcotest.test_case "dump round-trips" `Quick test_dump_json_roundtrip;
-          Alcotest.test_case "rejects garbage" `Quick
-            test_dump_of_json_rejects_garbage;
         ] );
       ( "chrome",
         [
@@ -499,9 +499,5 @@ let () =
             test_gcprof_compare_threshold_flag;
           Alcotest.test_case "compare error exits" `Quick
             test_gcprof_compare_errors;
-          Alcotest.test_case "trace converts a dump" `Quick
-            test_gcprof_trace_converts;
-          Alcotest.test_case "trace rejects non-dumps" `Quick
-            test_gcprof_trace_rejects_non_dump;
         ] );
     ]

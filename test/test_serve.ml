@@ -529,6 +529,66 @@ let test_serve_happy_path () =
       | Some (Json.Array [ _; _ ]) -> ()
       | _ -> Alcotest.failf "unexpected curve %s" (Json.to_string curve))
 
+(* Two distinct free loopback ports: both are held while the kernel picks
+   them, then released for the servers under test. *)
+let free_ports () =
+  let grab () =
+    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (_, port) -> (fd, port)
+    | _ -> Alcotest.fail "loopback socket has no port"
+  in
+  let fd1, p1 = grab () in
+  let fd2, p2 = grab () in
+  Unix.close fd1;
+  Unix.close fd2;
+  (p1, p2)
+
+let test_serve_tcp_listener () =
+  let p1, p2 = free_ports () in
+  let on sock port =
+    {
+      small_server with
+      Server.socket_path = Some sock;
+      tcp = Some ("127.0.0.1", port);
+    }
+  in
+  let refused what config =
+    match Server.create config with
+    | t ->
+        Server.drain t;
+        Alcotest.failf "create on %s succeeded" what
+    | exception (Failure _ | Unix.Unix_error _) -> ()
+  in
+  let check_serves port =
+    let addr = Client.Tcp ("127.0.0.1", port) in
+    let health = result_exn (Client.request addr (op_req "health")) in
+    Alcotest.(check string) "serving over tcp" "serving"
+      (string_field "state" health);
+    let sim = result_exn (Client.request addr (sim_req ())) in
+    match field "metrics" sim with
+    | Some m ->
+        Alcotest.(check int) "sim over tcp" 5000 (int_field "accesses" m)
+    | None -> Alcotest.fail "sim result has no metrics"
+  in
+  let s1 = fresh_sock () and s2 = fresh_sock () and s3 = fresh_sock () in
+  let a = Server.create (on s1 p1) in
+  Fun.protect
+    ~finally:(fun () -> Server.drain a)
+    (fun () ->
+      check_serves p1;
+      (* A failed create binds nothing and leaves tracing off. *)
+      Gc_prof.Tracer.stop ();
+      refused "a served socket"
+        { (on s1 p2) with Server.trace = Some (s1 ^ ".trace.json") };
+      Alcotest.(check bool) "tracing still off" false (Gc_prof.Tracer.enabled ());
+      refused "a served port" (on s3 p1);
+      Alcotest.(check bool) "socket file of the failed create removed" false
+        (Sys.file_exists s3);
+      let b = Server.create (on s2 p2) in
+      Fun.protect ~finally:(fun () -> Server.drain b) (fun () -> check_serves p2))
+
 let test_serve_pipelined_ids () =
   (* Two requests down one connection; replies match up by echoed id. *)
   with_server ~config:small_server (fun addr _t ->
@@ -1136,6 +1196,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "happy path" `Quick test_serve_happy_path;
+          Alcotest.test_case "tcp listener and failed creates" `Quick
+            test_serve_tcp_listener;
           Alcotest.test_case "pipelined ids" `Quick test_serve_pipelined_ids;
           Alcotest.test_case "malformed json keeps the connection" `Quick
             test_serve_malformed_json_keeps_connection;
