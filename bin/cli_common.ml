@@ -16,6 +16,17 @@ let usage_error = 2
 let model_violation = 3
 let interrupted = Gc_exec.Supervisor.exit_interrupted
 
+(* The EXIT STATUS entries every binary's --help shows (passed as
+   [Cmd.info ~exits]); a tool that can also return 3 or 130 appends its
+   own entry. *)
+let exits =
+  [
+    Cmd.Exit.info ok ~doc:"on success.";
+    Cmd.Exit.info runtime_error
+      ~doc:"on runtime failure (unreadable input, I/O error, failed run).";
+    Cmd.Exit.info usage_error ~doc:"on usage errors.";
+  ]
+
 (* Post-parse failures that already know their exit code. *)
 exception Fatal of int * string
 
@@ -47,6 +58,20 @@ let write_trace path t =
   else if Filename.check_suffix path ".gctb" then
     Gc_trace.Trace_io.save_binary path t
   else Gc_trace.Trace_io.save path t
+
+(* Bad construction parameters (a k below a policy's minimum, say) are a
+   usage problem for the whole invocation, not a per-policy runtime
+   failure: reject them before anything runs or a journal is touched. *)
+let check_construction ~blocks ~seed ~ks names =
+  List.iter
+    (fun k ->
+      List.iter
+        (fun name ->
+          match Gc_cache.Registry.make name ~k ~blocks ~seed with
+          | _ -> ()
+          | exception Invalid_argument msg -> fail_usage "%s" msg)
+        names)
+    ks
 
 (* ------------------------------------------------------------ converters *)
 

@@ -14,6 +14,17 @@
    simulator refutes — same category as a model violation). *)
 
 open Cmdliner
+
+(* This tool's EXIT STATUS entries, shown by every --help page it has. *)
+let exits =
+  Cli_common.exits
+  @ [
+      Cmd.Exit.info Cli_common.model_violation
+        ~doc:
+          "when cross-validation finds a contradiction between a \
+           static verdict and the simulator.";
+    ]
+
 module A = Gc_analysis
 
 let policy_names = [ "lru"; "fifo"; "plru" ]
@@ -57,7 +68,7 @@ let list_programs () =
 
 let list_cmd =
   Cmd.v
-    (Cmd.info "list" ~doc:"List the built-in analyzable programs")
+    (Cmd.info "list" ~exits ~doc:"List the built-in analyzable programs")
     Term.(const list_programs $ const ())
 
 (* ------------------------------------------------------------- arguments *)
@@ -152,7 +163,7 @@ let run_analysis prog trace policy sets ways engine grid json =
 
 let run_cmd =
   Cmd.v
-    (Cmd.info "run" ~doc:"Classify every program point of one program")
+    (Cmd.info "run" ~exits ~doc:"Classify every program point of one program")
     Term.(
       const run_analysis $ program_arg $ trace_arg $ policy_arg $ sets_arg
       $ ways_arg $ engine_arg $ grid_arg $ json_arg)
@@ -214,7 +225,7 @@ let check progs unsound max_paths json =
 
 let check_cmd =
   Cmd.v
-    (Cmd.info "check"
+    (Cmd.info "check" ~exits
        ~doc:
          "Cross-validate every static always-* verdict against the \
           simulator")
@@ -224,17 +235,7 @@ let check_cmd =
 
 let () =
   let info =
-    Cmd.info "gcanalyze"
+    Cmd.info "gcanalyze" ~exits
       ~doc:"Static must/may hit-miss analysis for GC-caching programs"
-      ~exits:
-        [
-          Cmd.Exit.info 0 ~doc:"on success.";
-          Cmd.Exit.info 1 ~doc:"on runtime failure (bad trace, state blowup).";
-          Cmd.Exit.info 2 ~doc:"on usage errors.";
-          Cmd.Exit.info 3
-            ~doc:
-              "when cross-validation finds a contradiction between a \
-               static verdict and the simulator.";
-        ]
   in
   exit (Cli_common.eval (Cmd.group info [ list_cmd; run_cmd; check_cmd ]))

@@ -52,7 +52,7 @@ let table1 h block_size =
 
 let table1_cmd =
   Cmd.v
-    (Cmd.info "table1" ~doc:"Reproduce Table 1")
+    (Cmd.info "table1" ~exits:Cli_common.exits ~doc:"Reproduce Table 1")
     Term.(const table1 $ h_arg $ b_arg)
 
 (* --------------------------------------------------------------- table 2 *)
@@ -80,7 +80,7 @@ let size_arg =
 
 let table2_cmd =
   Cmd.v
-    (Cmd.info "table2" ~doc:"Reproduce Table 2")
+    (Cmd.info "table2" ~exits:Cli_common.exits ~doc:"Reproduce Table 2")
     Term.(const table2 $ p_arg $ size_arg $ b_arg)
 
 (* -------------------------------------------------------------- figure 3 *)
@@ -101,7 +101,8 @@ let figure3 k block_size steps =
 
 let figure3_cmd =
   Cmd.v
-    (Cmd.info "figure3" ~doc:"Reproduce Figure 3 as TSV")
+    (Cmd.info "figure3" ~exits:Cli_common.exits
+       ~doc:"Reproduce Figure 3 as TSV")
     Term.(const figure3 $ k_arg $ b_arg $ steps_arg)
 
 (* -------------------------------------------------------------- figure 6 *)
@@ -129,7 +130,8 @@ let h0_arg =
 
 let figure6_cmd =
   Cmd.v
-    (Cmd.info "figure6" ~doc:"Reproduce Figure 6 as TSV")
+    (Cmd.info "figure6" ~exits:Cli_common.exits
+       ~doc:"Reproduce Figure 6 as TSV")
     Term.(const figure6 $ k_arg $ b_arg $ h0_arg $ steps_arg)
 
 (* ----------------------------------------------------------------- point *)
@@ -154,11 +156,15 @@ let point k h block_size =
 
 let point_cmd =
   Cmd.v
-    (Cmd.info "point" ~doc:"Evaluate all bounds at one (k, h, B)")
+    (Cmd.info "point" ~exits:Cli_common.exits
+       ~doc:"Evaluate all bounds at one (k, h, B)")
     Term.(const point $ k_arg $ h_arg $ b_arg)
 
 let () =
-  let info = Cmd.info "gcbounds" ~doc:"GC-caching bound calculator" in
+  let info =
+    Cmd.info "gcbounds" ~doc:"GC-caching bound calculator"
+      ~exits:Cli_common.exits
+  in
   exit
     (Cli_common.eval
        (Cmd.group info [ table1_cmd; table2_cmd; figure3_cmd; figure6_cmd; point_cmd ]))

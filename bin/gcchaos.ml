@@ -38,11 +38,22 @@
    with the same byte-reproducibility contract as drill. *)
 
 open Cmdliner
+
+(* This tool's EXIT STATUS entries, shown by every --help page it has. *)
+let exits =
+  Cli_common.exits
+  @ [
+      Cmd.Exit.info Cli_common.model_violation
+        ~doc:
+          "when a drill invariant is violated or a report does \
+           not reproduce.";
+    ]
+
 module Json = Gc_obs.Json
 module Rng = Gc_trace.Rng
 module Client = Gc_serve.Client
 module Supervise = Gc_resil.Supervise
-module Retry = Gc_resil.Retry
+module Retry = Gc_exec.Retry
 
 (* ------------------------------------------------------------- schedule *)
 
@@ -1239,7 +1250,7 @@ let drill_cmd spec =
                   ~doc:(Printf.sprintf "Requests per drill (minimum %d)." minimum)))
   in
   Cmd.v
-    (Cmd.info spec.name ~doc:spec.doc)
+    (Cmd.info spec.name ~exits ~doc:spec.doc)
     Term.(
       const (run_drills spec)
       $ Arg.(
@@ -1323,6 +1334,6 @@ let () =
   exit
     (Cli_common.eval
        (Cmd.group
-          (Cmd.info "gcchaos" ~version:"%%VERSION%%"
+          (Cmd.info "gcchaos" ~exits ~version:"%%VERSION%%"
              ~doc:"Deterministic chaos drills for the gcserved stack")
           (List.map drill_cmd drills)))

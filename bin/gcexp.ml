@@ -18,6 +18,16 @@
 
 open Cmdliner
 
+(* This tool's EXIT STATUS entries, shown by every --help page it has. *)
+let exits =
+  Cli_common.exits
+  @ [
+      Cmd.Exit.info Cli_common.interrupted
+        ~doc:
+          "when interrupted (partial artifacts written; a journaled \
+           sweep can continue with $(b,--resume)).";
+    ]
+
 let read_trace = Cli_common.read_trace
 
 let path_arg =
@@ -97,18 +107,7 @@ let miss_curve policies k_min k_max steps offline seed domains deadline retries
   in
   let t0 = Unix.gettimeofday () in
   let grid = geometric_grid k_min k_max steps in
-  (* Bad construction parameters are a usage problem for the whole
-     invocation, not a per-cell runtime failure — reject them before any
-     cell runs or the journal is touched. *)
-  List.iter
-    (fun k ->
-      List.iter
-        (fun name ->
-          match Gc_cache.Registry.make name ~k ~blocks ~seed with
-          | _ -> ()
-          | exception Invalid_argument msg -> Cli_common.fail_usage "%s" msg)
-        policies)
-    grid;
+  Cli_common.check_construction ~blocks ~seed ~ks:grid policies;
   let progress _ = Gc_exec.Cancel.poll () in
   let descs, cells =
     List.split
@@ -251,7 +250,7 @@ let json_arg =
 
 let miss_curve_cmd =
   Cmd.v
-    (Cmd.info "miss-curve" ~doc:"Misses vs cache size, per policy (CSV)")
+    (Cmd.info "miss-curve" ~exits ~doc:"Misses vs cache size, per policy (CSV)")
     Term.(
       const miss_curve $ policies_arg $ k_min_arg $ k_max_arg $ steps_arg
       $ offline_arg $ seed_arg $ Cli_common.domains_arg
@@ -284,7 +283,7 @@ let points_arg =
 
 let split_sweep_cmd =
   Cmd.v
-    (Cmd.info "split-sweep" ~doc:"IBLP misses vs item/block split (CSV)")
+    (Cmd.info "split-sweep" ~exits ~doc:"IBLP misses vs item/block split (CSV)")
     Term.(const split_sweep $ k_arg $ points_arg $ seed_arg $ path_arg)
 
 (* --------------------------------------------------------------- h-sweep *)
@@ -330,14 +329,16 @@ let cycles_arg = Arg.(value & opt int 20 & info [ "cycles" ] ~doc:"Cycles.")
 
 let h_sweep_cmd =
   Cmd.v
-    (Cmd.info "h-sweep"
+    (Cmd.info "h-sweep" ~exits
        ~doc:"Measured adversarial ratio vs offline size h (CSV)")
     Term.(
       const h_sweep $ policy_arg $ k_arg $ block_size_arg $ construction_arg
       $ cycles_arg $ seed_arg)
 
 let () =
-  let info = Cmd.info "gcexp" ~doc:"GC-caching experiment sweeps (CSV)" in
+  let info =
+    Cmd.info "gcexp" ~exits ~doc:"GC-caching experiment sweeps (CSV)"
+  in
   exit
     (Cli_common.eval
        (Cmd.group info [ miss_curve_cmd; split_sweep_cmd; h_sweep_cmd ]))

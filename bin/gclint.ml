@@ -104,7 +104,7 @@ let paths_arg =
 
 let check_cmd =
   Cmd.v
-    (Cmd.info "check"
+    (Cmd.info "check" ~exits:Cli_common.exits
        ~doc:
          "Lint the tree against the project conventions (exit 0 clean, 1 \
           findings).")
@@ -133,7 +133,8 @@ let rules json =
 
 let rules_cmd =
   Cmd.v
-    (Cmd.info "rules" ~doc:"List every rule: id, severity, synopsis.")
+    (Cmd.info "rules" ~exits:Cli_common.exits
+       ~doc:"List every rule: id, severity, synopsis.")
     Term.(const rules $ json_arg)
 
 (* --------------------------------------------------------------- explain *)
@@ -165,7 +166,7 @@ let id_arg =
 
 let explain_cmd =
   Cmd.v
-    (Cmd.info "explain"
+    (Cmd.info "explain" ~exits:Cli_common.exits
        ~doc:"Print one rule's rationale, example, fix, and suppression syntax.")
     Term.(const explain $ id_arg)
 
@@ -174,5 +175,6 @@ let explain_cmd =
 let info =
   Cmd.info "gclint" ~version:"%%VERSION%%"
     ~doc:"Project-convention static analysis for the gc_caching tree"
+    ~exits:Cli_common.exits
 
 let () = exit (Cli_common.eval (Cmd.group info [ check_cmd; rules_cmd; explain_cmd ]))

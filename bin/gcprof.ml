@@ -128,7 +128,7 @@ let compare_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "compare"
+    (Cmd.info "compare" ~exits:Cli_common.exits
        ~doc:
          "Gate a fresh bench manifest against a baseline; non-zero exit on \
           a throughput or allocation regression")
@@ -168,14 +168,6 @@ let compare_cmd =
 let () =
   let info =
     Cmd.info "gcprof" ~doc:"Perf-regression gate for bench manifests"
-      ~exits:
-        [
-          Cmd.Exit.info 0 ~doc:"on success (no regression).";
-          Cmd.Exit.info 1
-            ~doc:
-              "on runtime failure (missing or corrupt manifest, a detected \
-               regression).";
-          Cmd.Exit.info 2 ~doc:"on usage errors.";
-        ]
+      ~exits:Cli_common.exits
   in
   exit (Cli_common.eval (Cmd.group info [ compare_cmd ]))

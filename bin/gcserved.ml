@@ -22,6 +22,18 @@
    retry_after_ms hint when it sent one. *)
 
 open Cmdliner
+
+(* This tool's EXIT STATUS entries, shown by every --help page it has. *)
+let exits =
+  Cli_common.exits
+  @ [
+      Cmd.Exit.info Cli_common.model_violation
+        ~doc:"on a model-violation reply.";
+      Cmd.Exit.info Cli_common.interrupted
+        ~doc:
+          "when a second signal hard-exits a drain already in progress.";
+    ]
+
 module Json = Gc_obs.Json
 
 (* ---------------------------------------------------------------- serve *)
@@ -99,7 +111,8 @@ let serve socket tcp tcp_host workers min_workers queue_depth deadline retries
 
 let serve_cmd =
   Cmd.v
-    (Cmd.info "serve" ~doc:"Run the simulation daemon until SIGTERM/SIGINT")
+    (Cmd.info "serve" ~exits
+       ~doc:"Run the simulation daemon until SIGTERM/SIGINT")
     Term.(
       const serve $ socket_arg $ tcp_arg $ tcp_host_arg
       $ Arg.(
@@ -318,7 +331,7 @@ let supervise socket tcp tcp_host server_exe child_args supervision seed =
 
 let supervise_cmd =
   Cmd.v
-    (Cmd.info "supervise"
+    (Cmd.info "supervise" ~exits
        ~doc:
          "Run the serve daemon as a supervised child: restart it on crash \
           or wedge (health-probe liveness), with exponential backoff and a \
@@ -435,7 +448,7 @@ let fleet socket replicas server_exe child_args supervision seed manifest =
 
 let fleet_cmd =
   Cmd.v
-    (Cmd.info "fleet"
+    (Cmd.info "fleet" ~exits
        ~doc:
          "Run N independently supervised serve replicas, one Unix socket \
           each ($(b,BASE.0) .. $(b,BASE.N-1)) with per-replica restart \
@@ -623,7 +636,7 @@ let client socket tcp tcp_host op policy k seed workload n universe block_size
   in
   if attempts < 1 then Cli_common.fail_usage "--attempts must be >= 1";
   let retry =
-    { Gc_resil.Retry.default with Gc_resil.Retry.max_attempts = attempts }
+    { Gc_exec.Retry.default with Gc_exec.Retry.max_attempts = attempts }
   in
   (* The resilient client rides over a supervised restart mid-request:
      classified transport failures (refused/timeout/reset) and overloaded
@@ -668,9 +681,12 @@ let client socket tcp tcp_host op policy k seed workload n universe block_size
 
 let client_cmd =
   Cmd.v
-    (Cmd.info "client"
+    (Cmd.info "client" ~exits
        ~doc:
-         "Send one request to a running daemon and print the framed reply")
+         "Send one request to a running daemon and print the framed reply. \
+          Exits 0 on an $(i,ok) reply, 1 on error replies of kind \
+          exception, timeout, overloaded, expired or draining, 2 on \
+          usage/protocol replies, 3 on a model-violation reply")
     Term.(
       const client $ socket_arg $ tcp_arg $ tcp_host_arg
       $ Arg.(
@@ -779,27 +795,7 @@ let client_cmd =
                  the loser is cancelled."))
 
 let () =
-  let info =
-    Cmd.info "gcserved" ~doc:"GC-caching simulation service"
-      ~exits:
-        [
-          Cmd.Exit.info 0
-            ~doc:
-              "on success ($(b,serve): clean drain after SIGTERM/SIGINT; \
-               $(b,client): an $(i,ok) reply).";
-          Cmd.Exit.info 1
-            ~doc:
-              "on runtime failure (cannot bind or connect; error replies \
-               of kind exception, timeout, overloaded, expired, \
-               draining).";
-          Cmd.Exit.info 2
-            ~doc:"on usage errors (bad flags; usage/protocol error replies).";
-          Cmd.Exit.info 3 ~doc:"on a model-violation reply.";
-          Cmd.Exit.info 130
-            ~doc:
-              "when a second signal hard-exits a drain already in progress.";
-        ]
-  in
+  let info = Cmd.info "gcserved" ~exits ~doc:"GC-caching simulation service" in
   exit
     (Cli_common.eval
        (Cmd.group info [ serve_cmd; supervise_cmd; fleet_cmd; client_cmd ]))

@@ -15,6 +15,18 @@
 
 open Cmdliner
 
+(* This tool's EXIT STATUS entries, shown by every --help page it has. *)
+let exits =
+  Cli_common.exits
+  @ [
+      Cmd.Exit.info Cli_common.model_violation
+        ~doc:"on a model violation caught by the audit.";
+      Cmd.Exit.info Cli_common.interrupted
+        ~doc:
+          "when interrupted (partial artifacts written; sweeps with a \
+           journal can continue with $(b,--resume)).";
+    ]
+
 (* ------------------------------------------------------------------ run *)
 
 let is_violation = function
@@ -30,6 +42,7 @@ let run policies all k seed offline no_check inject json events histograms path
   let names = if all then Gc_cache.Registry.names else policies in
   if names = [] then
     Cli_common.fail_usage "no policies selected (use --policy or --all)";
+  Cli_common.check_construction ~blocks ~seed ~ks:[ k ] names;
   let t0 = Unix.gettimeofday () in
   (* Streaming JSONL: incremental by nature, so unlike the manifest it
      cannot go through the atomic temp-file path — a crash can only tear
@@ -179,7 +192,7 @@ let path_arg =
 
 let run_cmd =
   Cmd.v
-    (Cmd.info "run" ~doc:"Simulate policies over a trace")
+    (Cmd.info "run" ~exits ~doc:"Simulate policies over a trace")
     Term.(
       const run $ policy_arg $ all_arg $ k_arg $ seed_arg $ offline_arg
       $ no_check_arg $ inject_arg $ json_arg $ events_arg $ histograms_arg
@@ -192,6 +205,11 @@ let suite policies k seed block_size domains deadline retries journal resume
   let journal, resuming = Cli_common.journal_mode ~journal ~resume in
   let entries = Gc_trace.Workload_suite.standard ~seed ~block_size () in
   let policies = if policies = [] then Gc_cache.Registry.names else policies in
+  List.iter
+    (fun (e : Gc_trace.Workload_suite.entry) ->
+      Cli_common.check_construction ~blocks:e.trace.Gc_trace.Trace.blocks ~seed
+        ~ks:[ k ] policies)
+    entries;
   let t0 = Unix.gettimeofday () in
   (* One supervised cell per (policy, workload); the cell's journal
      payload is its finished manifest slot, so a resumed run replays
@@ -326,7 +344,7 @@ let suite policies k seed block_size domains deadline retries journal resume
 
 let suite_cmd =
   Cmd.v
-    (Cmd.info "suite"
+    (Cmd.info "suite" ~exits
        ~doc:
          "Registry policies on the standard workload suite (a failing \
           policy is reported per-cell instead of killing the sweep)")
@@ -413,24 +431,12 @@ let attack_k_arg = Arg.(value & opt int 512 & info [ "k" ] ~doc:"Online size.")
 
 let attack_cmd =
   Cmd.v
-    (Cmd.info "attack" ~doc:"Run an adversarial lower-bound construction")
+    (Cmd.info "attack" ~exits
+       ~doc:"Run an adversarial lower-bound construction")
     Term.(
       const attack $ construction_arg $ one_policy_arg $ attack_k_arg $ h_arg
       $ block_size_arg $ cycles_arg $ seed_arg $ certify_arg)
 
 let () =
-  let info =
-    Cmd.info "gcsim" ~doc:"GC-caching policy simulator"
-      ~exits:
-        [
-          Cmd.Exit.info 0 ~doc:"on success.";
-          Cmd.Exit.info 1 ~doc:"on runtime failure (bad trace, policy crash).";
-          Cmd.Exit.info 2 ~doc:"on usage errors.";
-          Cmd.Exit.info 3 ~doc:"on a model violation caught by the audit.";
-          Cmd.Exit.info 130
-            ~doc:
-              "when interrupted (partial artifacts written; sweeps with a \
-               journal can continue with $(b,--resume)).";
-        ]
-  in
+  let info = Cmd.info "gcsim" ~exits ~doc:"GC-caching policy simulator" in
   exit (Cli_common.eval (Cmd.group info [ run_cmd; suite_cmd; attack_cmd ]))

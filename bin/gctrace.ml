@@ -92,7 +92,7 @@ let out_arg =
 
 let gen_cmd =
   Cmd.v
-    (Cmd.info "gen" ~doc:"Generate a synthetic trace")
+    (Cmd.info "gen" ~exits:Cli_common.exits ~doc:"Generate a synthetic trace")
     Term.(
       const gen $ kind_arg $ n_arg $ universe_arg $ block_size_arg $ alpha_arg
       $ p_arg $ stride_arg $ seed_arg $ out_arg)
@@ -127,7 +127,8 @@ let path_arg =
 
 let stats_cmd =
   Cmd.v
-    (Cmd.info "stats" ~doc:"Print trace statistics and Mattson miss curves")
+    (Cmd.info "stats" ~exits:Cli_common.exits
+       ~doc:"Print trace statistics and Mattson miss curves")
     Term.(const stats $ path_arg)
 
 (* ------------------------------------------------------------- validate *)
@@ -182,7 +183,7 @@ let lenient_arg =
 
 let validate_cmd =
   Cmd.v
-    (Cmd.info "validate"
+    (Cmd.info "validate" ~exits:Cli_common.exits
        ~doc:
          "Check a trace file (text or .gctb binary, including its checksum \
           footer); exits 0 iff the file is fully valid")
@@ -220,11 +221,14 @@ let steps_arg =
 
 let locality_cmd =
   Cmd.v
-    (Cmd.info "locality" ~doc:"Measure f(n)/g(n) locality profile")
+    (Cmd.info "locality" ~exits:Cli_common.exits
+       ~doc:"Measure f(n)/g(n) locality profile")
     Term.(const locality $ path_arg $ steps_arg)
 
 let () =
-  let info = Cmd.info "gctrace" ~doc:"GC-caching trace toolkit" in
+  let info =
+    Cmd.info "gctrace" ~doc:"GC-caching trace toolkit" ~exits:Cli_common.exits
+  in
   exit
     (Cli_common.eval
        (Cmd.group info [ gen_cmd; stats_cmd; validate_cmd; locality_cmd ]))

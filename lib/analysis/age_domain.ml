@@ -99,8 +99,6 @@ let classify d x =
   else Report.Unknown
 
 let must_age d x = IntMap.find_opt x d.must
-let may_age d x = IntMap.find_opt x d.may
-
 let concretizes (cfg : Cache_model.config) d (st : Cache_model.state) =
   let age_of y =
     match st.(Cache_model.set_of cfg y) with

@@ -50,7 +50,6 @@ val classify : t -> int -> Report.verdict
     [Unknown] otherwise. *)
 
 val must_age : t -> int -> int option
-val may_age : t -> int -> int option
 
 val concretizes : Cache_model.config -> t -> Cache_model.state -> bool
 (** Whether a concrete LRU state is described by the abstract state: every

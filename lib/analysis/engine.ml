@@ -5,12 +5,6 @@ let kind_name = function
   | Age -> "age"
   | Age_unsound -> "age-unsound"
 
-let kind_of_name = function
-  | "exact" -> Some Exact
-  | "age" -> Some Age
-  | "age-unsound" -> Some Age_unsound
-  | _ -> None
-
 let run kind (cfg : Cache_model.config) ~name program =
   let points =
     match kind with

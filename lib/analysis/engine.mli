@@ -11,19 +11,15 @@ type kind = Exact | Age | Age_unsound
 val kind_name : kind -> string
 (** ["exact"], ["age"], ["age-unsound"]. *)
 
-val kind_of_name : string -> kind option
-
 val run :
   kind -> Cache_model.config -> name:string -> Program.t -> Report.run
 (** Run one engine over one program.  [Age]/[Age_unsound] require an LRU
     config ({!Abstract.run_age}). *)
 
-val standard_geometries : (int * int) list
-(** [(sets, ways)] pairs: [(1,1); (1,2); (1,4); (2,2)] — associativities
-    1, 2 and 4. *)
-
 val standard_configs : Cache_model.config list
-(** All three policies crossed with {!standard_geometries} (12 configs). *)
+(** All three policies crossed with the [(sets, ways)] geometries
+    [(1,1); (1,2); (1,4); (2,2)] — associativities 1, 2 and 4 (12
+    configs). *)
 
 val grid : name:string -> Program.t -> Report.run list
 (** [Exact] on every standard config plus [Age] on the LRU ones

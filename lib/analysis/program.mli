@@ -39,11 +39,8 @@ val branch : spec list -> spec list -> spec
 val make : Gc_trace.Block_map.t -> spec list -> t
 (** Assigns point ids in pre-order.  Raises [Invalid_argument] on a
     negative item, a non-positive loop count, or an unrolled length above
-    {!max_unrolled}. *)
-
-val max_unrolled : int
-(** Cap on {!unrolled_length}, so a malformed loop nest cannot wedge the
-    interpreters. *)
+    the cap on {!unrolled_length} (so a malformed loop nest cannot wedge
+    the interpreters). *)
 
 (** {2 Observing programs} *)
 

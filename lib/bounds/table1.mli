@@ -21,15 +21,6 @@ val eval : family -> k:float -> h:float -> block_size:float -> float
 (** The family's competitive-ratio formula (the GC upper bound uses the
     optimal IBLP split of Section 5.3). *)
 
-val constant_augmentation : h:float -> block_size:float -> family -> point
-
-val meeting_point : h:float -> block_size:float -> family -> point
-(** Solves [ratio(k) = k / h] by bisection. *)
-
-val constant_ratio :
-  h:float -> block_size:float -> target:float -> family -> point
-(** Solves [ratio(k) = target] by bisection. *)
-
 type row = {
   setting : string;
   paper_form : family -> string;  (** The table's symbolic entry. *)

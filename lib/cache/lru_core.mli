@@ -27,6 +27,4 @@ val mru : t -> int option
 val pop_lru : t -> int option
 (** Remove and return the LRU key. *)
 
-val iter_mru_to_lru : (int -> unit) -> t -> unit
-
 val to_list_mru_first : t -> int list

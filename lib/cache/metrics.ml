@@ -47,8 +47,6 @@ let ratio num den =
 let hit_rate t = ratio t.hits t.accesses
 let miss_rate t = ratio t.misses t.accesses
 let fault_rate = miss_rate
-let spatial_fraction t = ratio t.spatial_hits t.hits
-
 let copy t = { t with accesses = t.accesses }
 
 let fields t =

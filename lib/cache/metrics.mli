@@ -28,9 +28,6 @@ val miss_rate : t -> float
 val fault_rate : t -> float
 (** Synonym of [miss_rate]; the paper's locality-model metric. *)
 
-val spatial_fraction : t -> float
-(** Fraction of hits that are spatial; 0 if there are no hits. *)
-
 val copy : t -> t
 (** An independent snapshot. *)
 

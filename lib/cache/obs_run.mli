@@ -26,28 +26,10 @@ val span_hooks : ?base:(int -> unit) -> unit -> (int -> unit) * (unit -> unit)
 (** [(progress, finish)]: a simulator [?progress] hook that opens one
     "sim.chunk" tracing span per progress stride (composing with [base],
     which runs first), and the closer for the final open chunk.  This is
-    how {!run_policy} wires the access loop into {!Gc_prof} without
+    how {!run_policy_result} wires the access loop into {!Gc_prof} without
     touching the simulator: when tracing is disabled the hook adds a
     single atomic load per stride and the loop allocates nothing extra
     (asserted by test_prof's zero-allocation test). *)
-
-val run_policy :
-  ?check:bool ->
-  ?histograms:bool ->
-  ?sink:Gc_obs.Sink.t ->
-  ?wrap:(Policy.t -> Policy.t) ->
-  k:int ->
-  seed:int ->
-  string ->
-  Gc_trace.Trace.t ->
-  result
-(** Simulate one registry policy over the trace.  When neither
-    [histograms] (default [false]) nor [sink] is given, no probe is
-    attached at all — the run is exactly as fast as an unobserved
-    {!Simulator.run}.  Otherwise every event is counted, fed to the
-    {!Gc_obs.Probe} (if [histograms]), and forwarded to [sink]; adaptive
-    repartitions are injected into the same stream.  [wrap] transforms the
-    constructed policy before simulation (fault injectors hook in here). *)
 
 val run_policy_result :
   ?check:bool ->
@@ -59,11 +41,18 @@ val run_policy_result :
   string ->
   Gc_trace.Trace.t ->
   (result, failure) Stdlib.result
-(** Like {!run_policy}, but a policy that raises — a
-    {!Simulator.Model_violation} from the shadow audit, or any other
-    exception from the policy itself — is captured as a structured
-    {!failure} instead of propagating.  This is the graceful-degradation
-    entry point for multi-policy sweeps.
+(** Simulate one registry policy over the trace.  When neither
+    [histograms] (default [false]) nor [sink] is given, no probe is
+    attached at all — the run is exactly as fast as an unobserved
+    {!Simulator.run}.  Otherwise every event is counted, fed to the
+    {!Gc_obs.Probe} (if [histograms]), and forwarded to [sink]; adaptive
+    repartitions are injected into the same stream.  [wrap] transforms the
+    constructed policy before simulation (fault injectors hook in here).
+
+    A policy that raises — a {!Simulator.Model_violation} from the shadow
+    audit, or any other exception from the policy itself — is captured as
+    a structured {!failure} instead of propagating, so one broken policy
+    never aborts a multi-policy sweep.
 
     Two exceptions stay exceptional because they belong to the supervised
     runtime, not the policy: {!Gc_exec.Cancel.Cancelled} (deadline or

@@ -31,28 +31,6 @@ let misses ~make ~trace ~seeds =
          float_of_int m.Metrics.misses)
        seeds)
 
-type partial = { summary : summary option; failed : (int * string) list }
-
-let misses_result ~make ~trace ~seeds =
-  if seeds = [] then invalid_arg "Replicates.misses_result: no seeds";
-  let ok, failed =
-    List.fold_left
-      (fun (ok, failed) seed ->
-        match Simulator.run ~check:false (make ~seed) trace with
-        | m -> (float_of_int m.Metrics.misses :: ok, failed)
-        | exception ((Gc_exec.Cancel.Cancelled _ | Gc_exec.Pool.Transient _) as e)
-          ->
-            (* Degrading per-seed must not swallow supervision: a
-               cancelled replicate set is cancelled, not "partial". *)
-            raise e
-        | exception exn -> (ok, (seed, Printexc.to_string exn) :: failed))
-      ([], []) seeds
-  in
-  {
-    summary = (match ok with [] -> None | vs -> Some (summarize (List.rev vs)));
-    failed = List.rev failed;
-  }
-
 let pp fmt s =
   Format.fprintf fmt "mean %.1f (sd %.1f, min %.0f, max %.0f, n=%d)" s.mean
     s.stddev s.min s.max s.runs

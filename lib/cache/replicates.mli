@@ -19,20 +19,6 @@ val misses :
   summary
 (** Simulate (unchecked) once per seed and summarize the miss counts. *)
 
-type partial = {
-  summary : summary option;  (** [None] when every seed failed. *)
-  failed : (int * string) list;  (** [(seed, error)] per failed replicate. *)
-}
-
-val misses_result :
-  make:(seed:int -> Policy.t) ->
-  trace:Gc_trace.Trace.t ->
-  seeds:int list ->
-  partial
-(** Degradation-tolerant {!misses}: a replicate whose constructor or
-    simulation raises is recorded in [failed] and excluded from the
-    summary instead of aborting the whole set. *)
-
 val summarize : float list -> summary
 
 val pp : Format.formatter -> summary -> unit

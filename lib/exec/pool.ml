@@ -83,32 +83,55 @@ let worker config task idx cancel started cell () =
          else [])
       "pool.attempt"
   in
-  let outcome =
-    let rec go i =
+  (* One attempt: [Ok] carries the settled outcome, [Error] a [Transient]
+     failure, the only kind {!Retry} repeats.  A token requested during
+     the backoff settles the task instead of starting another attempt. *)
+  let try_once ~attempt:i =
+    if i > 1 && Cancel.requested cancel then
+      Ok (classify_cancel (Option.value (Cancel.reason cancel) ~default:""))
+    else begin
       Domain.DLS.set attempt_key i;
       Atomic.set started (Clock.now_s ());
       let att = attempt_span i in
       match Cancel.with_current cancel (fun () -> task ~cancel) with
       | v ->
           Tracer.leave att;
-          Done v
+          Ok (Done v)
       | exception Cancel.Cancelled reason ->
           Tracer.leave att;
-          classify_cancel reason
-      | exception Transient _ when i <= config.retries ->
+          Ok (classify_cancel reason)
+      | exception (Transient _ as e) ->
           Tracer.leave att;
-          (* Exponential backoff; the deadline clock restarts with the
-             attempt, not the sleep. *)
-          Atomic.set started (Clock.now_s ());
-          nap (config.backoff *. Float.pow 2. (float_of_int (i - 1)));
-          if Cancel.requested cancel then
-            classify_cancel (Option.value (Cancel.reason cancel) ~default:"")
-          else go (i + 1)
+          Error e
       | exception exn ->
           Tracer.leave att;
-          Failed exn
-    in
-    try go 1 with exn -> Failed exn
+          Ok (Failed exn)
+    end
+  in
+  (* backoff * 2^(i-1) after failed attempt i: no jitter (so the rng's
+     draws do not matter), no cap.  The deadline clock restarts when the
+     sleep starts and again with the next attempt. *)
+  let policy =
+    {
+      Retry.max_attempts = max 1 (config.retries + 1);
+      base_delay = config.backoff;
+      max_delay = Float.infinity;
+      jitter = 0.;
+      budget = None;
+    }
+  in
+  let sleep d =
+    Atomic.set started (Clock.now_s ());
+    nap d
+  in
+  let outcome =
+    match
+      Retry.run ~policy ~sleep ~rng:(Gc_trace.Rng.create 0)
+        ~retryable:(fun _ -> true) try_once
+    with
+    | Ok o -> o
+    | Error { Retry.last_error; _ } -> Failed last_error
+    | exception exn -> Failed exn
   in
   Tracer.leave task_tok;
   Atomic.set cell (Some outcome)

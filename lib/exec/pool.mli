@@ -1,11 +1,12 @@
 (** A supervised task pool over OCaml 5 domains.
 
-    Where {!Gc_cache.Parallel.map} is a bare fan-out, this pool is the
-    runtime for long parameter sweeps: every task gets its own domain and
-    {!Cancel.t} token, a monitor enforces per-task wall-clock deadlines,
-    transient failures retry with exponential backoff, and an interrupt
-    token drains the pool gracefully (in-flight tasks finish, pending ones
-    settle as {!Cancelled}).
+    The one place in the tree that spawns domains: parameter sweeps (via
+    {!Checkpoint}) and the server's requests both run here.  Every task
+    gets its own domain and {!Cancel.t} token, a monitor enforces per-task
+    wall-clock deadlines, {!Transient} failures retry through {!Retry}
+    with exponential backoff, and an interrupt token drains the pool
+    gracefully (in-flight tasks finish, pending ones settle as
+    {!Cancelled}).
 
     Deadline enforcement is two-tier.  At the deadline the task's token is
     requested with {!Cancel.deadline_reason}; a cooperative task (anything
@@ -36,7 +37,9 @@ type config = {
       (** Extra seconds after the deadline before an uncooperative task is
           abandoned. *)
   retries : int;  (** Extra attempts granted to {!Transient} failures. *)
-  backoff : float;  (** Base retry sleep, doubling per attempt. *)
+  backoff : float;
+      (** Sleep after failed attempt [i] is [backoff * 2^(i-1)]: no jitter,
+          no cap. *)
   tick : float;  (** Monitor poll interval, seconds. *)
 }
 

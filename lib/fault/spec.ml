@@ -40,18 +40,6 @@ let to_string = function
 
 let of_string s = List.find_opt (fun f -> to_string f = s) all
 
-let describe = function
-  | Phantom_hit -> "report a hit on an item that is not cached"
-  | Phantom_miss -> "report a miss on an item that is cached"
-  | Drop_requested -> "omit the requested item from a miss's load list"
-  | Wrong_block_load -> "load an item from a different block"
-  | Double_load -> "list the same item twice in one load"
-  | Reload_cached -> "load an item that is already cached"
-  | Spurious_evict -> "evict an item that was never cached"
-  | Ghost_evict -> "claim an eviction while secretly keeping the item"
-  | Hidden_evict -> "evict an item but hide it from the report"
-  | Over_occupancy -> "report occupancy above the capacity k"
-
 let class_names () = String.concat ", " (List.map to_string all)
 
 let parse s =

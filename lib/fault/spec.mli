@@ -37,9 +37,6 @@ val to_string : fault_class -> string
 
 val of_string : string -> fault_class option
 
-val describe : fault_class -> string
-(** One-line description for CLI listings. *)
-
 val parse : string -> (t, string) result
 (** Spec grammar: [CLASS] or [CLASS@INDEX] (["spurious-evict@250"]).
     [Error] carries a message listing the valid classes. *)

@@ -118,14 +118,14 @@ let all =
         "A catch-all handler that re-enters its own recursive binding \
          retries forever with no attempt cap, no backoff, and no jitter — \
          against a down dependency it busy-loops, and a fleet of them \
-         synchronizes into a thundering herd.  Gc_resil.Retry is the one \
+         synchronizes into a thundering herd.  Gc_exec.Retry is the one \
          sanctioned retry shape: capped exponential backoff, deterministic \
          jitter, and an optional wall-clock budget.";
       example = "let rec dial () = try connect () with _ -> dial ()";
       fix =
-        "drive the attempt through Gc_resil.Retry.run (capped attempts, \
+        "drive the attempt through Gc_exec.Retry.run (capped attempts, \
          backoff, jitter), or bound the handler with a `when` guard";
-      scope_doc = "lib/ and bin/, except lib/resil/ and lib/exec/pool.ml";
+      scope_doc = "lib/ and bin/";
     };
     {
       id = "partial-stdlib";
@@ -227,10 +227,7 @@ let applies ~id ~file =
   | "exit-contract" -> under "bin/" file && file <> "bin/cli_common.ml"
   | "raw-artifact-write" -> file <> "lib/obs/export.ml"
   | "bare-sleep" -> file <> "lib/exec/pool.ml"
-  | "unbounded-retry" ->
-      (under "lib/" file || under "bin/" file)
-      && (not (under "lib/resil/" file))
-      && file <> "lib/exec/pool.ml"
+  | "unbounded-retry" -> under "lib/" file || under "bin/" file
   | "print-in-lib" -> under "lib/" file
   | "wall-clock-timing" -> under "lib/" file
   | "fixed-deadline" -> under "lib/serve/" file

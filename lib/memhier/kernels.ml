@@ -1,3 +1,6 @@
+(* Triple-loop C = A * B (ijk order): A streamed row-wise (good), B
+   column-wise (bad at row granularity).  Bases [a], [b], [c] locate the
+   matrices.  Emits n^3 * 3 accesses. *)
 let matmul_naive ~n ~elem_bytes ~a ~b ~c =
   let out = Array.make (n * n * n * 3) 0 in
   let pos = ref 0 in
@@ -17,6 +20,7 @@ let matmul_naive ~n ~elem_bytes ~a ~b ~c =
   done;
   out
 
+(* The tiled version: same multiset of work, far better reuse. *)
 let matmul_blocked ~n ~tile ~elem_bytes ~a ~b ~c =
   if tile < 1 || n mod tile <> 0 then
     invalid_arg "Kernels.matmul_blocked: tile must divide n";
@@ -45,6 +49,8 @@ let matmul_blocked ~n ~tile ~elem_bytes ~a ~b ~c =
   done;
   out
 
+(* 5-point stencil sweeps: each cell reads its 4 neighbours and itself,
+   row-major traversal, [iters] times. *)
 let stencil_2d ~rows ~cols ~iters ~elem_bytes ~base =
   if rows < 3 || cols < 3 then
     invalid_arg "Kernels.stencil_2d: grid too small";
@@ -69,6 +75,9 @@ let stencil_2d ~rows ~cols ~iters ~elem_bytes ~base =
   done;
   out
 
+(* Build: stream the build table once, one random bucket write each.
+   Probe: stream probes, one random bucket read each.  Sequential table
+   scans with random hash-bucket accesses — mixed locality by design. *)
 let hash_join rng ~build_rows ~probe_rows ~row_bytes ~buckets ~base_table
     ~base_hash =
   let bucket_bytes = 16 in
@@ -89,6 +98,8 @@ let hash_join rng ~build_rows ~probe_rows ~row_bytes ~buckets ~base_table
   done;
   out
 
+(* Root-to-leaf descents over an implicit B-tree laid out level by level:
+   the root and upper levels are hot (temporal), the leaves sparse. *)
 let btree_lookups rng ~lookups ~keys ~fanout ~node_bytes ~base =
   if fanout < 2 then invalid_arg "Kernels.btree_lookups: fanout must be >= 2";
   (* Depth of an implicit tree with [keys] leaves. *)

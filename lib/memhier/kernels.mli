@@ -7,51 +7,12 @@
     All kernels emit {e data} accesses only (no instruction stream) at
     element granularity; the hierarchy maps them onto lines and rows. *)
 
-val matmul_naive :
-  n:int -> elem_bytes:int -> a:int -> b:int -> c:int -> int array
-(** Triple-loop [C = A * B] (ijk order): A streamed row-wise (good), B
-    column-wise (bad at row granularity).  Bases [a], [b], [c] locate the
-    matrices.  Emits [n^3 * 3] accesses — keep [n] modest. *)
-
-val matmul_blocked :
-  n:int -> tile:int -> elem_bytes:int -> a:int -> b:int -> c:int -> int array
-(** The tiled version: same multiset of work, far better reuse.  [tile]
-    must divide [n]. *)
-
-val stencil_2d :
-  rows:int -> cols:int -> iters:int -> elem_bytes:int -> base:int -> int array
-(** 5-point stencil sweeps: each cell reads its 4 neighbours and itself,
-    row-major traversal, [iters] times. *)
-
-val hash_join :
-  Gc_trace.Rng.t ->
-  build_rows:int ->
-  probe_rows:int ->
-  row_bytes:int ->
-  buckets:int ->
-  base_table:int ->
-  base_hash:int ->
-  int array
-(** Build: stream the build table once, one random bucket write each.
-    Probe: stream probes, one random bucket read each.  Sequential table
-    scans with random hash-bucket accesses — mixed locality by design. *)
-
-val btree_lookups :
-  Gc_trace.Rng.t ->
-  lookups:int ->
-  keys:int ->
-  fanout:int ->
-  node_bytes:int ->
-  base:int ->
-  int array
-(** Root-to-leaf descents over an implicit B-tree laid out level by level:
-    the root and upper levels are hot (temporal), the leaves sparse. *)
-
 (** {1 Catalog}
 
-    The canonical parameterizations, so tests, the bench harness, and the
-    static-analysis lowering ({!Gc_analysis}) all drive the same kernels
-    instead of re-plumbing parameters at every call site. *)
+    The canonical parameterizations are the only way in, so tests, the
+    bench harness, and the static-analysis lowering ({!Gc_analysis}) all
+    drive the same kernels instead of re-plumbing parameters at every call
+    site. *)
 
 type size =
   | Small  (** Seconds-fast shapes for tests and static analysis. *)

@@ -1,8 +1,6 @@
 type t = Event.t -> unit
 
 let null _ = ()
-let callback f = f
-
 let tee sinks ev = List.iter (fun sink -> sink ev) sinks
 
 let jsonl ?(labels = []) oc =

@@ -11,9 +11,6 @@ type t = Event.t -> unit
 val null : t
 (** Drops every event. *)
 
-val callback : (Event.t -> unit) -> t
-(** Identity; documents intent at call sites. *)
-
 val tee : t list -> t
 (** Deliver each event to every sink, in order. *)
 

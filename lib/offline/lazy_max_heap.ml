@@ -65,14 +65,3 @@ let rec pop_valid t ~is_valid =
     let prio, item = pop_top t in
     if is_valid ~prio ~item then Some (prio, item) else pop_valid t ~is_valid
   end
-
-let rec peek_valid t ~is_valid =
-  if t.len = 0 then None
-  else begin
-    let prio = t.prio.(0) and item = t.item.(0) in
-    if is_valid ~prio ~item then Some (prio, item)
-    else begin
-      ignore (pop_top t);
-      peek_valid t ~is_valid
-    end
-  end

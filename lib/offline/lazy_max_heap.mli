@@ -15,8 +15,4 @@ val pop_valid : t -> is_valid:(prio:int -> item:int -> bool) -> (int * int) opti
 (** Pop entries until one satisfies [is_valid]; returns [(prio, item)] or
     [None] if the heap drains. *)
 
-val peek_valid : t -> is_valid:(prio:int -> item:int -> bool) -> (int * int) option
-(** Like {!pop_valid} but leaves the returned entry in the heap (stale
-    entries above it are still discarded). *)
-
 val size : t -> int

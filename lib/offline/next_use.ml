@@ -42,5 +42,3 @@ let after t ~pos ~item =
       done;
       Hashtbl.replace t.cursors item !c;
       if !c < n then positions.(!c) else never
-
-let reset_cursors t = Hashtbl.reset t.cursors

@@ -20,5 +20,3 @@ val after : t -> pos:int -> item:int -> int
     item between calls with the same [t] — the implementation walks each
     item's occurrence list with a cursor. *)
 
-val reset_cursors : t -> unit
-(** Rewind the per-item cursors used by {!after} (for re-running a trace). *)

@@ -3,6 +3,7 @@ module Client = Gc_serve.Client
 module Protocol = Gc_serve.Protocol
 module Token_bucket = Gc_admit.Token_bucket
 module Clock = Gc_prof.Clock
+module Retry = Gc_exec.Retry
 
 type failure =
   | Transport of Client.error * int

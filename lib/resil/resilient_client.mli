@@ -2,8 +2,8 @@
     replica set.
 
     One value per dependency (or per hammer thread): it owns a connection
-    per endpoint that it transparently re-establishes, and a {!Retry}
-    policy.  What a caller gets beyond the raw client:
+    per endpoint that it transparently re-establishes, and a
+    {!Gc_exec.Retry} policy.  What a caller gets beyond the raw client:
 
     - {b automatic reconnect} — a [Refused]/[Reset]/[Timeout] transport
       failure drops the cached connection and the retry policy dials
@@ -88,7 +88,7 @@ val default_hedge : hedge_config
 
 val create_set :
   ?timeout:float ->
-  ?retry:Retry.policy ->
+  ?retry:Gc_exec.Retry.policy ->
   ?retry_budget:Gc_admit.Token_bucket.t option ->
   ?hedge:hedge_config ->
   ?pool_config:Endpoint_pool.config ->
@@ -108,7 +108,7 @@ val create_set :
 
 val create :
   ?timeout:float ->
-  ?retry:Retry.policy ->
+  ?retry:Gc_exec.Retry.policy ->
   ?retry_budget:Gc_admit.Token_bucket.t option ->
   ?seed:int ->
   Gc_serve.Client.addr ->

@@ -1,6 +1,7 @@
 module Clock = Gc_prof.Clock
 module Cancel = Gc_exec.Cancel
 module Pool = Gc_exec.Pool
+module Retry = Gc_exec.Retry
 module Client = Gc_serve.Client
 module Json = Gc_obs.Json
 

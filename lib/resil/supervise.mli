@@ -19,8 +19,8 @@
     - {b crash} (the child exits) and {b wedge} ([wedge_threshold]
       consecutive probe failures while the pid lives; a wedged child is
       SIGTERMed, given [term_grace], then SIGKILLed) both lead to a
-      restart with a {!Retry}-shaped backoff delay, jitter seeded from
-      [seed];
+      restart with a {!Gc_exec.Retry}-shaped backoff delay, jitter seeded
+      from [seed];
     - the {b restart budget} is a sliding window: when a restart would be
       the [max_restarts + 1]th within [restart_window] seconds, the
       supervisor gives up instead of flapping forever ([`Gave_up] — exit
@@ -51,7 +51,7 @@ type config = {
           (default 8). *)
   restart_window : float;  (** Sliding budget window, seconds (default 60). *)
   max_restarts : int;  (** Restarts allowed per window (default 5). *)
-  backoff : Retry.policy;  (** Shapes the delay before each respawn. *)
+  backoff : Gc_exec.Retry.policy;  (** Shapes the delay before each respawn. *)
   term_grace : float;
       (** SIGTERM-to-SIGKILL grace when putting down a wedged child
           (default 5). *)

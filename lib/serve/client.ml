@@ -81,13 +81,7 @@ let connect_result ?(timeout = 5.) addr =
           (try Unix.close fd with Unix.Unix_error _ -> ());
           raise e)
 
-let connect ?timeout addr =
-  match connect_result ?timeout addr with
-  | Ok fd -> fd
-  | Error { message; _ } -> raise (Unix.Unix_error (Unix.ECONNREFUSED, "connect", message))
-
 let close fd = try Unix.close fd with Unix.Unix_error _ -> ()
-let send fd json = Frame.write_fd fd json
 let fd c = c
 
 let send_result fd json =
@@ -124,11 +118,6 @@ let recv_result ?max_frame ?(timeout = 60.) fd =
           message = Printf.sprintf "recv failed: %s" (Unix.error_message e);
         }
 
-let recv ?max_frame ?timeout fd =
-  Result.map_error
-    (fun e -> e.message)
-    (recv_result ?max_frame ?timeout fd)
-
 let request_result ?timeout addr json =
   let ( let* ) = Result.bind in
   let* fd =
@@ -139,6 +128,3 @@ let request_result ?timeout addr json =
     (fun () ->
       let* () = send_result fd json in
       recv_result ?timeout fd)
-
-let request ?timeout addr json =
-  Result.map_error (fun e -> e.message) (request_result ?timeout addr json)

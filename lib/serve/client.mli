@@ -5,19 +5,14 @@
     never hang the caller — the mirror image of the server's own
     slow-loris guard.
 
-    Two API levels.  The [_result] functions classify failures into
-    {!error_kind}s, which is what retry policy hangs off
-    ({!Gc_resil.Resilient_client} retries [Refused]/[Timeout]/[Reset] for
-    idempotent requests, never [Protocol]).  The historical string-error
-    functions remain as thin wrappers for callers that only print. *)
+    Every call classifies its failures into {!error_kind}s, which is what
+    retry policy hangs off ({!Gc_resil.Resilient_client} retries
+    [Refused]/[Timeout]/[Reset] for idempotent requests, never
+    [Protocol]). *)
 
 type addr =
   | Unix_path of string
   | Tcp of string * int
-
-val addr_string : addr -> string
-(** Render an address for diagnostics and metric labels: the socket
-    path, or ["host:port"]. *)
 
 type conn
 
@@ -38,42 +33,22 @@ val string_of_client_error : error -> string
 val connect_result : ?timeout:float -> addr -> (conn, error) result
 (** Classified connect.  [timeout] (default 5s) bounds the TCP connect. *)
 
-val connect : ?timeout:float -> addr -> conn
-(** {!connect_result}, raising [Unix.Unix_error] on failure (historical
-    interface; the classification is flattened into the message). *)
-
 val close : conn -> unit
 
-val send : conn -> Gc_obs.Json.t -> unit
-(** Frame and send one document.  Raises [Unix.Unix_error] (e.g. [EPIPE])
-    if the peer is gone. *)
-
 val send_result : conn -> Gc_obs.Json.t -> (unit, error) result
-(** Classified {!send}: a gone peer is [Reset], not an exception. *)
-
-val recv : ?max_frame:int -> ?timeout:float -> conn -> (Gc_obs.Json.t, string) result
-(** Await one framed document (default timeout 60s).  [Error] describes a
-    protocol fault, EOF, or timeout. *)
+(** Frame and send one document; a gone peer is [Reset]. *)
 
 val recv_result :
   ?max_frame:int -> ?timeout:float -> conn -> (Gc_obs.Json.t, error) result
-(** Classified {!recv}: EOF is [Reset], framing faults are [Protocol],
-    expiry is [Timeout]. *)
-
-val request :
-  ?timeout:float ->
-  addr ->
-  Gc_obs.Json.t ->
-  (Gc_obs.Json.t, string) result
-(** One-shot: connect, send, await the reply, close. *)
+(** Await one framed document (default timeout 60s): EOF is [Reset],
+    framing faults are [Protocol], expiry is [Timeout]. *)
 
 val request_result :
   ?timeout:float ->
   addr ->
   Gc_obs.Json.t ->
   (Gc_obs.Json.t, error) result
-(** One-shot with classified errors; {!request} is this with the kind
-    flattened into the message. *)
+(** One-shot: connect, send, await the reply, close. *)
 
 val fd : conn -> Unix.file_descr
 (** The raw socket, for adversarial tests that need to write garbage. *)

@@ -61,17 +61,14 @@ type request = {
 
     Every request is validated against hard caps before any work is
     admitted, so a single request cannot ask for an unbounded amount of
-    memory or compute. *)
+    memory or compute.  [k] and [budget_ms] are capped too (at 2^28
+    and one hour); the error message names the cap. *)
 
 val max_trace_n : int
 (** 5_000_000 requests per generated trace. *)
 
 val max_universe : int
-val max_k : int
 val max_curve_points : int
-
-val max_budget_ms : int
-(** 3_600_000 — an hour; a larger budget is a client bug. *)
 
 val parse_request : Gc_obs.Json.t -> (request, string) result
 (** Validate a decoded frame into a request.  [Error] messages name the

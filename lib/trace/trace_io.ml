@@ -10,8 +10,6 @@ let string_of_error e =
   | Byte b -> Printf.sprintf "byte %d: %s" b e.reason
   | Io -> e.reason
 
-let pp_error fmt e = Format.pp_print_string fmt (string_of_error e)
-
 exception Parse_error of error
 
 let perr position fmt =
@@ -648,18 +646,6 @@ let load_lenient path =
       else
         In_channel.with_open_text path (fun ic ->
             lenient_ (parse_text ~lenient:true) (cursor_of_channel ic)))
-
-(* ------------------------------------------------------ raising wrappers *)
-
-let or_fail = function
-  | Ok t -> t
-  | Error e -> failwith ("Trace_io: " ^ string_of_error e)
-
-let of_string s = or_fail (of_string_result s)
-let of_channel ic = or_fail (of_channel_result ic)
-let load path = or_fail (load_result path)
-let of_bytes b = or_fail (of_bytes_result b)
-let load_binary path = or_fail (load_binary_result path)
 
 let save_binary path t =
   (* Below gc_obs, same as [save]; the GCTB footer checksum makes a

@@ -22,9 +22,8 @@
     file never materializes its serialized form in memory, and no
     allocation is sized from an untrusted length field: a hostile header
     claiming 2^60 requests fails with a clean [Error] after reading only
-    the bytes actually present.  The legacy exception-raising entry points
-    ([of_string], [of_bytes], [load], ...) survive as thin wrappers that
-    [failwith] the rendered diagnostic. *)
+    the bytes actually present.  Every decoder returns a [Result]; none
+    raises on malformed input. *)
 
 (** {1 Diagnostics} *)
 
@@ -38,11 +37,8 @@ type error = { position : position; reason : string }
 val string_of_error : error -> string
 (** ["line 3: expected integer, got \"x\""] / ["byte 17: varint overflow"]. *)
 
-val pp_error : Format.formatter -> error -> unit
-
 (** {1 Encoding} *)
 
-val to_buffer : Buffer.t -> Trace.t -> unit
 val to_string : Trace.t -> string
 val to_channel : out_channel -> Trace.t -> unit
 
@@ -60,13 +56,9 @@ val of_string_result : string -> (Trace.t, error) result
 val of_channel_result : in_channel -> (Trace.t, error) result
 (** Streaming: reads through a fixed 64 KiB buffer. *)
 
-val load_result : string -> (Trace.t, error) result
-(** Text format from a file path; I/O failures yield [Error] with
-    [position = Io]. *)
-
 val load_any_result : string -> (Trace.t, error) result
-(** Dispatch on the file extension: [.gctb] is binary, anything else
-    text. *)
+(** Load a file, dispatching on its extension: [.gctb] is binary, anything
+    else text.  I/O failures yield [Error] with [position = Io]. *)
 
 (** {1 Lenient decoding}
 
@@ -81,26 +73,14 @@ type recovery = {
   trace : Trace.t;
   dropped : int;  (** Requests lost: malformed, negative, or truncated. *)
   diagnostics : error list;
-      (** First {!max_diagnostics} individual problems, in input order. *)
+      (** The first 20 individual problems, in input order. *)
 }
-
-val max_diagnostics : int
 
 val of_string_lenient : string -> (recovery, error) result
 val of_bytes_lenient : bytes -> (recovery, error) result
 
 val load_lenient : string -> (recovery, error) result
 (** Extension-dispatched lenient load, like {!load_any_result}. *)
-
-(** {1 Legacy raising decoders} *)
-
-val of_string : string -> Trace.t
-(** Raises [Failure] on malformed input. *)
-
-val of_channel : in_channel -> Trace.t
-(** Streaming; raises [Failure] on malformed input. *)
-
-val load : string -> Trace.t
 
 (** {1 Binary format}
 
@@ -121,8 +101,4 @@ val of_bytes_result : bytes -> (Trace.t, error) result
 val load_binary_result : string -> (Trace.t, error) result
 (** Streaming binary read with incremental checksum verification. *)
 
-val of_bytes : bytes -> Trace.t
-(** Raises [Failure] on malformed input. *)
-
 val save_binary : string -> Trace.t -> unit
-val load_binary : string -> Trace.t

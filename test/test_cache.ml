@@ -517,95 +517,38 @@ let test_replicates_randomized_policy_varies () =
   in
   Alcotest.(check bool) "some variance" true (s.Replicates.stddev > 0.)
 
-(* --------------------------------------------------------------- Timeline *)
+(* --------------------------------------------------------------- Obs_run *)
 
-let test_timeline_sums_to_metrics () =
-  let trace =
-    Generators.spatial_mix (rng ()) ~n:10_000 ~universe:2048 ~block_size:8
-      ~p_spatial:0.5
-  in
-  let p = Registry.make "iblp" ~k:128 ~blocks:trace.Trace.blocks ~seed:1 in
-  let points, m = Timeline.run ~window:512 p trace in
-  Alcotest.(check int) "windows cover trace" (Trace.length trace)
-    (List.fold_left (fun a pt -> a + pt.Timeline.accesses) 0 points);
-  Alcotest.(check int) "misses sum" m.Metrics.misses
-    (List.fold_left (fun a pt -> a + pt.Timeline.misses) 0 points);
-  Alcotest.(check int) "spatial hits sum" m.Metrics.spatial_hits
-    (List.fold_left (fun a pt -> a + pt.Timeline.spatial_hits) 0 points)
-
-let test_timeline_detects_phase_change () =
-  (* Small working set, then a huge one: the miss rate must jump. *)
-  let trace =
-    Generators.working_set_phases (rng ()) ~block_size:4
-      ~phases:[ (64, 8000); (100_000, 8000) ]
-  in
-  let p = Registry.make "lru" ~k:256 ~blocks:trace.Trace.blocks ~seed:1 in
-  let points, _ = Timeline.run ~window:2000 p trace in
-  let rates = List.map snd (Timeline.miss_rates points) in
-  let early = List.nth rates 1 and late = List.nth rates 6 in
-  Alcotest.(check bool)
-    (Printf.sprintf "rate jumps (%.3f -> %.3f)" early late)
-    true
-    (late > 10. *. early)
-
-let test_timeline_ragged_last_window () =
-  (* 1000 accesses in windows of 300: the last window holds the 100
-     leftovers, and starts line up on window boundaries. *)
-  let trace =
-    Generators.uniform_random (rng ()) ~n:1000 ~universe:400 ~block_size:4
-  in
-  let p = Registry.make "lru" ~k:64 ~blocks:trace.Trace.blocks ~seed:1 in
-  let points, m = Timeline.run ~window:300 p trace in
-  Alcotest.(check (list int))
-    "starts" [ 0; 300; 600; 900 ]
-    (List.map (fun pt -> pt.Timeline.start) points);
-  Alcotest.(check (list int))
-    "window sizes" [ 300; 300; 300; 100 ]
-    (List.map (fun pt -> pt.Timeline.accesses) points);
-  Alcotest.(check int) "misses sum" m.Metrics.misses
-    (List.fold_left (fun a pt -> a + pt.Timeline.misses) 0 points)
-
-let test_timeline_window_larger_than_trace () =
-  let trace =
-    Generators.uniform_random (rng ()) ~n:57 ~universe:400 ~block_size:4
-  in
-  let p = Registry.make "lru" ~k:64 ~blocks:trace.Trace.blocks ~seed:1 in
-  let points, m = Timeline.run ~window:1000 p trace in
-  match points with
-  | [ pt ] ->
-      Alcotest.(check int) "start" 0 pt.Timeline.start;
-      Alcotest.(check int) "accesses" 57 pt.Timeline.accesses;
-      Alcotest.(check int) "misses" m.Metrics.misses pt.Timeline.misses;
-      Alcotest.(check int) "spatial" m.Metrics.spatial_hits
-        pt.Timeline.spatial_hits
-  | pts ->
-      Alcotest.failf "expected exactly one window, got %d" (List.length pts)
-
-let test_timeline_empty_trace () =
-  let blocks = Gc_trace.Block_map.uniform ~block_size:4 in
-  let trace = Trace.of_list blocks [] in
-  let p = Registry.make "lru" ~k:4 ~blocks ~seed:1 in
-  let points, _ = Timeline.run ~window:10 p trace in
-  Alcotest.(check int) "no windows" 0 (List.length points)
-
-let qcheck_timeline_windows_agree_with_metrics =
+(* The production event consumers — Obs_run's per-kind counts and the
+   Probe's spatial-hit counter — must sum to the simulator's Metrics on
+   any trace, for item, block and layered policies alike. *)
+let qcheck_observed_events_sum_to_metrics =
   Test_util.qcheck ~count:50
-    "timeline window sums equal overall metrics (any window)"
-    QCheck.(pair (Test_util.small_trace_arbitrary ()) (int_range 1 500))
-    (fun (small, window) ->
-         let trace = Test_util.trace_of small in
-         let p = Registry.make "iblp" ~k:32 ~blocks:trace.Trace.blocks ~seed:1 in
-         let points, m = Timeline.run ~window p trace in
-         let sum f = List.fold_left (fun a pt -> a + f pt) 0 points in
-         sum (fun pt -> pt.Timeline.accesses) = m.Metrics.accesses
-         && sum (fun pt -> pt.Timeline.misses) = m.Metrics.misses
-         && sum (fun pt -> pt.Timeline.spatial_hits) = m.Metrics.spatial_hits
-         && List.for_all
-              (fun pt ->
-                pt.Timeline.accesses > 0
-                && pt.Timeline.accesses <= window
-                && pt.Timeline.start mod window = 0)
-              points)
+    "event counts sum to metrics"
+    (Test_util.small_trace_arbitrary ~max_universe:48 ~max_len:200 ())
+    (fun small ->
+      let trace = Test_util.trace_of small in
+      List.for_all
+        (fun name ->
+          match
+            Obs_run.run_policy_result ~histograms:true ~k:8 ~seed:1 name trace
+          with
+          | Error f -> QCheck.Test.fail_reportf "%s: %s" name f.Obs_run.message
+          | Ok r ->
+              let m = r.Obs_run.metrics in
+              let count kind = List.assoc kind r.Obs_run.events in
+              let spatial =
+                match r.Obs_run.registry with
+                | Some reg ->
+                    Gc_obs.Registry.counter_value
+                      (Gc_obs.Registry.counter reg "events_hit_spatial")
+                | None -> -1
+              in
+              count "access" = m.Metrics.accesses
+              && count "hit" = m.Metrics.hits
+              && count "miss" = m.Metrics.misses
+              && spatial = m.Metrics.spatial_hits)
+        [ "lru"; "block-lru"; "gcm"; "iblp"; "iblp-adaptive" ])
 
 (* ------------------------------------------------------------------ ARC *)
 
@@ -875,35 +818,6 @@ let test_set_assoc_capacity () =
   done;
   Alcotest.(check int) "occupancy" 8 (Policy.occupancy p)
 
-(* --------------------------------------------------------------- Parallel *)
-
-let test_parallel_map_matches_serial () =
-  let xs = List.init 50 (fun i -> i) in
-  Alcotest.(check (list int)) "order preserved"
-    (List.map (fun x -> x * x) xs)
-    (Parallel.map ~domains:4 (fun x -> x * x) xs)
-
-let test_parallel_sweep_matches_serial () =
-  let trace =
-    Generators.spatial_mix (rng ()) ~n:20_000 ~universe:4096 ~block_size:16
-      ~p_spatial:0.6
-  in
-  let points = [ 64; 128; 256; 512 ] in
-  let make k = Registry.make "iblp" ~k ~blocks:trace.Trace.blocks ~seed:1 in
-  let serial =
-    List.map (fun k -> (k, Test_util.run_misses (make k) trace)) points
-  in
-  let parallel =
-    Parallel.run_sweep ~domains:3 ~make ~trace points
-    |> List.map (fun (k, m) -> (k, m.Metrics.misses))
-  in
-  Alcotest.(check (list (pair int int))) "same results" serial parallel
-
-let test_parallel_propagates_exceptions () =
-  match Parallel.map ~domains:2 (fun x -> if x = 3 then failwith "boom" else x) [ 1; 2; 3 ] with
-  | exception _ -> ()
-  | _ -> Alcotest.fail "exception swallowed"
-
 (* ----------------------------------------------- simulator sanity sweep *)
 
 let all_policy_names =
@@ -1118,18 +1032,7 @@ let () =
           Alcotest.test_case "randomized varies" `Quick
             test_replicates_randomized_policy_varies;
         ] );
-      ( "timeline",
-        [
-          Alcotest.test_case "sums to metrics" `Quick test_timeline_sums_to_metrics;
-          Alcotest.test_case "detects phase change" `Quick
-            test_timeline_detects_phase_change;
-          Alcotest.test_case "ragged last window" `Quick
-            test_timeline_ragged_last_window;
-          Alcotest.test_case "window larger than trace" `Quick
-            test_timeline_window_larger_than_trace;
-          Alcotest.test_case "empty trace" `Quick test_timeline_empty_trace;
-          qcheck_timeline_windows_agree_with_metrics;
-        ] );
+      ("obs_run", [ qcheck_observed_events_sum_to_metrics ]);
       ( "arc",
         [
           Alcotest.test_case "promotes on second hit" `Quick test_arc_promotes_on_second_hit;
@@ -1173,12 +1076,6 @@ let () =
           test_set_assoc_single_set_is_lru;
           Alcotest.test_case "conflict misses" `Quick test_set_assoc_conflict_misses;
           Alcotest.test_case "capacity" `Quick test_set_assoc_capacity;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "map matches serial" `Quick test_parallel_map_matches_serial;
-          Alcotest.test_case "sweep matches serial" `Quick test_parallel_sweep_matches_serial;
-          Alcotest.test_case "propagates exceptions" `Quick test_parallel_propagates_exceptions;
         ] );
       ( "simulator",
         [

@@ -203,6 +203,7 @@ let test_exit_runtime () =
     (Test_util.contains output "/nonexistent.gct")
 
 let test_exit_usage () =
+  saved_trace @@ fun trace ->
   List.iter
     (fun (msg, cmd, needle) ->
       let code, output = exec cmd in
@@ -226,6 +227,41 @@ let test_exit_usage () =
       ( "bad inject spec",
         Printf.sprintf "%s run -p lru --inject nosuch /dev/null" gcsim,
         "phantom-hit" );
+      ( "run below the policy's minimum k",
+        Printf.sprintf "%s run -p lru -k 0 %s" gcsim trace,
+        "k must be >= 1" );
+      ( "suite below the policy's minimum k",
+        Printf.sprintf "%s suite -p lru -k 0" gcsim,
+        "k must be >= 1" );
+    ]
+
+(* Every help page advertises the shared exit contract, never cmdliner's
+   default 123/124/125, which Cli_common.eval remaps. *)
+let test_help_exit_status () =
+  List.iter
+    (fun (tool, subcommands) ->
+      List.iter
+        (fun sub ->
+          let cmd = String.concat " " [ "../bin/" ^ tool ^ ".exe"; sub ] in
+          let code, output = exec (cmd ^ " --help=plain") in
+          Alcotest.(check int) (cmd ^ " --help exits 0") 0 code;
+          Alcotest.(check bool)
+            (cmd ^ " lists exit 2") true
+            (Test_util.contains output "on usage errors");
+          Alcotest.(check bool)
+            (cmd ^ " does not advertise 124") false
+            (Test_util.contains output "124"))
+        ("" :: subcommands))
+    [
+      ("gcsim", [ "run"; "suite"; "attack" ]);
+      ("gctrace", [ "gen"; "stats"; "validate"; "locality" ]);
+      ("gcbounds", [ "table1"; "table2"; "figure3"; "figure6"; "point" ]);
+      ("gcexp", [ "miss-curve"; "split-sweep"; "h-sweep" ]);
+      ("gcserved", [ "serve"; "supervise"; "fleet"; "client" ]);
+      ("gclint", [ "check"; "rules"; "explain" ]);
+      ("gcprof", [ "compare" ]);
+      ("gcchaos", [ "drill"; "storm"; "partition" ]);
+      ("gcanalyze", [ "list"; "run"; "check" ]);
     ]
 
 let test_exit_violation () =
@@ -608,6 +644,8 @@ let () =
           Alcotest.test_case "1 on runtime failure" `Quick test_exit_runtime;
           Alcotest.test_case "2 on usage errors" `Quick test_exit_usage;
           Alcotest.test_case "3 on model violation" `Quick test_exit_violation;
+          Alcotest.test_case "help lists the real codes" `Quick
+            test_help_exit_status;
         ] );
       ( "degradation",
         [

@@ -1,8 +1,8 @@
 (* The supervised execution runtime: Gc_exec (cancel tokens, pool,
    journal, checkpoint) plus the Gc_obs pieces it leans on (the JSON
    parser, atomic export, manifest run codecs) and the Gc_cache wiring
-   (Parallel result preservation, the Simulator progress hook, the
-   broken:hang / broken:flaky drill policies). *)
+   (the Simulator progress hook, the broken:hang / broken:flaky drill
+   policies). *)
 
 open Gc_exec
 module Json = Gc_obs.Json
@@ -303,6 +303,43 @@ let test_pool_transient_retry () =
   | [ Pool.Failed (Pool.Transient "always") ] -> ()
   | _ -> Alcotest.fail "exhausted transient not Failed"
 
+(* The retry schedule: after failed attempt i the task sleeps
+   backoff * 2^(i-1) (no jitter shortens it); a deadline that lapses
+   during that sleep settles the task instead of starting attempt i+1. *)
+let test_pool_backoff_schedule () =
+  let starts = ref [] in
+  let task ~cancel:_ =
+    starts := Gc_prof.Clock.now_s () :: !starts;
+    if Pool.attempt () < 4 then raise (Pool.Transient "not yet");
+    Pool.attempt ()
+  in
+  let config = { (quick_config ~retries:3 ()) with Pool.backoff = 0.02 } in
+  (match Pool.run ~config [ task ] with
+  | [ Pool.Done 4 ] -> ()
+  | _ -> Alcotest.fail "task did not succeed on attempt 4");
+  (match List.rev !starts with
+  | [ t1; t2; t3; t4 ] ->
+      List.iteri
+        (fun i (a, b) ->
+          let want = 0.02 *. Float.pow 2. (float_of_int i) in
+          if b -. a < want then
+            Alcotest.failf "gap %d is %.3fs, want >= %.3fs" (i + 1) (b -. a)
+              want)
+        [ (t1, t2); (t2, t3); (t3, t4) ]
+  | l -> Alcotest.failf "%d attempts, want 4" (List.length l));
+  let attempts = Atomic.make 0 in
+  let flaky ~cancel:_ =
+    Atomic.incr attempts;
+    raise (Pool.Transient "flaky")
+  in
+  let config =
+    { (quick_config ~deadline:0.05 ()) with Pool.backoff = 0.3; grace = 2. }
+  in
+  (match Pool.run ~config [ flaky ] with
+  | [ Pool.Timed_out _ ] -> ()
+  | _ -> Alcotest.fail "deadline during the backoff did not settle the task");
+  Alcotest.(check int) "no attempt after the deadline" 1 (Atomic.get attempts)
+
 let test_pool_deadline_cooperative () =
   (* The task spins on Cancel.poll: the deadline must cancel it and the
      pool classify the cancellation as Timed_out. *)
@@ -370,41 +407,6 @@ let test_pool_interrupt_drains () =
   in
   Alcotest.(check bool)
     "unstarted tasks settle as Cancelled" true (cancelled >= 1)
-
-(* -------------------------------------------------------------- parallel *)
-
-let test_parallel_try_map_keeps_siblings () =
-  let results =
-    Gc_cache.Parallel.try_map ~domains:3
-      (fun i -> if i = 5 then failwith "odd one out" else i * 10)
-      [ 0; 1; 2; 3; 4; 5; 6; 7 ]
-  in
-  List.iteri
-    (fun i r ->
-      match r with
-      | Ok v when i <> 5 -> Alcotest.(check int) "sibling result" (i * 10) v
-      | Error (Failure m) when i = 5 ->
-          Alcotest.(check string) "failure kept in slot" "odd one out" m
-      | _ -> Alcotest.fail "unexpected slot")
-    results
-
-let test_parallel_map_raises_after_joining () =
-  let completed = Atomic.make 0 in
-  (match
-     Gc_cache.Parallel.map ~domains:2
-       (fun i ->
-         if i = 1 then failwith "first error"
-         else begin
-           Atomic.incr completed;
-           i
-         end)
-       [ 0; 1; 2; 3; 4; 5 ]
-   with
-  | _ -> Alcotest.fail "map swallowed the task failure"
-  | exception Failure m ->
-      Alcotest.(check string) "lowest-index error" "first error" m);
-  (* Every non-failing task still ran to completion before the raise. *)
-  Alcotest.(check int) "siblings all completed" 5 (Atomic.get completed)
 
 (* -------------------------------------------- simulator progress + drills *)
 
@@ -593,6 +595,38 @@ let test_checkpoint_meta_mismatch () =
             "names the mismatch" true
             (Test_util.contains m "metadata mismatch"))
 
+(* Multi-domain cells reproduce the serial simulation results, in input
+   order. *)
+let test_checkpoint_sweep_matches_serial () =
+  let trace =
+    Gc_trace.Generators.spatial_mix (Gc_trace.Rng.create 99) ~n:20_000
+      ~universe:4096 ~block_size:16 ~p_spatial:0.6
+  in
+  let ks = [ 64; 128; 256; 512 ] in
+  let misses k =
+    Test_util.run_misses
+      (Gc_cache.Registry.make "iblp" ~k ~blocks:trace.Gc_trace.Trace.blocks
+         ~seed:1)
+      trace
+  in
+  let cells, _ =
+    Checkpoint.run
+      ~config:(quick_config ~domains:3 ())
+      ~to_error
+      (List.map
+         (fun k -> (string_of_int k, fun ~cancel:_ -> Json.Int (misses k)))
+         ks)
+  in
+  Alcotest.(check (list (pair string int)))
+    "same results"
+    (List.map (fun k -> (string_of_int k, misses k)) ks)
+    (List.map
+       (fun c ->
+         match c.Checkpoint.payload with
+         | Some (Json.Int m) -> (c.Checkpoint.key, m)
+         | _ -> Alcotest.failf "cell %s has no result" c.Checkpoint.key)
+       cells)
+
 (* -------------------------------------------------------- manifest codecs *)
 
 let test_manifest_run_roundtrip () =
@@ -666,19 +700,14 @@ let () =
             test_pool_failure_isolated;
           Alcotest.test_case "transient retries" `Quick
             test_pool_transient_retry;
+          Alcotest.test_case "backoff schedule" `Quick
+            test_pool_backoff_schedule;
           Alcotest.test_case "cooperative deadline" `Quick
             test_pool_deadline_cooperative;
           Alcotest.test_case "wedged task abandoned" `Quick
             test_pool_deadline_abandons_wedged;
           Alcotest.test_case "interrupt drains" `Quick
             test_pool_interrupt_drains;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "try_map keeps siblings" `Quick
-            test_parallel_try_map_keeps_siblings;
-          Alcotest.test_case "map joins before raising" `Quick
-            test_parallel_map_raises_after_joining;
         ] );
       ( "supervised_simulation",
         [
@@ -699,6 +728,8 @@ let () =
             test_checkpoint_journals_failures;
           Alcotest.test_case "meta mismatch refused" `Quick
             test_checkpoint_meta_mismatch;
+          Alcotest.test_case "sweep matches serial" `Quick
+            test_checkpoint_sweep_matches_serial;
         ] );
       ( "manifest_codec",
         [

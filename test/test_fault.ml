@@ -129,29 +129,6 @@ let test_sweep_degrades_gracefully () =
     (List.length manifest.Gc_obs.Manifest.runs);
   Alcotest.(check int) "two structured errors" 2 (List.length errors)
 
-let test_parallel_try_map () =
-  let results =
-    Gc_cache.Parallel.try_map ~domains:2
-      (fun i -> if i = 2 then failwith "boom" else i * 10)
-      [ 0; 1; 2; 3 ]
-  in
-  match results with
-  | [ Ok 0; Ok 10; Error (Failure _); Ok 30 ] -> ()
-  | _ -> Alcotest.fail "try_map did not isolate the failing task"
-
-let test_replicates_partial () =
-  let trace = Test_util.trace_of (2, Array.init 100 (fun i -> i mod 10)) in
-  let make ~seed =
-    if seed = 3 then failwith "bad seed" else Gc_cache.Lru.create ~k:4
-  in
-  let partial = Gc_cache.Replicates.misses_result ~make ~trace ~seeds:[ 1; 2; 3; 4 ] in
-  (match partial.Gc_cache.Replicates.summary with
-  | Some s -> Alcotest.(check int) "three replicates survive" 3 s.Gc_cache.Replicates.runs
-  | None -> Alcotest.fail "summary lost");
-  match partial.Gc_cache.Replicates.failed with
-  | [ (3, _) ] -> ()
-  | _ -> Alcotest.fail "failed seed not recorded"
-
 (* ------------------------------------------------------ decoder diagnostics *)
 
 let err_of = function
@@ -361,14 +338,18 @@ let fuzz_tests =
       (Test_util.small_trace_arbitrary ())
       (fun input ->
         let t = Test_util.trace_of input in
-        let t' = Trace_io.of_string (Trace_io.to_string t) in
+        let t' =
+          Test_util.decoded (Trace_io.of_string_result (Trace_io.to_string t))
+        in
         Array.init (Trace.length t) (Trace.get t)
         = Array.init (Trace.length t') (Trace.get t'));
     fuzz "fuzz: binary codec roundtrip"
       (Test_util.small_trace_arbitrary ())
       (fun input ->
         let t = Test_util.trace_of input in
-        let t' = Trace_io.of_bytes (Trace_io.to_bytes t) in
+        let t' =
+          Test_util.decoded (Trace_io.of_bytes_result (Trace_io.to_bytes t))
+        in
         Array.init (Trace.length t) (Trace.get t)
         = Array.init (Trace.length t') (Trace.get t'));
     fuzz "fuzz: mutated text never escapes"
@@ -402,9 +383,6 @@ let () =
         [
           Alcotest.test_case "sweep survives broken policy" `Quick
             test_sweep_degrades_gracefully;
-          Alcotest.test_case "parallel try_map" `Quick test_parallel_try_map;
-          Alcotest.test_case "replicates partial" `Quick
-            test_replicates_partial;
         ] );
       ( "decoder",
         [

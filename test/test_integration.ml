@@ -341,7 +341,9 @@ let test_trace_io_roundtrip_preserves_simulation () =
     Generators.spatial_mix (rng ()) ~n:10_000 ~universe:2048 ~block_size:8
       ~p_spatial:0.5
   in
-  let round = Trace_io.of_string (Trace_io.to_string trace) in
+  let round =
+    Test_util.decoded (Trace_io.of_string_result (Trace_io.to_string trace))
+  in
   List.iter
     (fun name ->
       let run t =

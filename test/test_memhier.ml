@@ -137,57 +137,6 @@ let test_hierarchy_stats_consistency () =
   Alcotest.(check bool) "loaded >= misses" true
     (s.Hierarchy.lines_loaded >= s.Hierarchy.misses)
 
-(* --------------------------------------------------------------- two_level *)
-
-let test_two_level_accounting () =
-  let geo = Geometry.create ~line_bytes:64 ~row_bytes:512 in
-  let stream = Workloads.sequential ~n:4096 ~start:0 ~step:64 in
-  let t =
-    Two_level.create geo
-      ~l1_policy:(fun ~k ~blocks -> Gc_cache.Registry.make "lru" ~k ~blocks ~seed:1)
-      ~l1_lines:32
-      ~l2_policy:(fun ~k ~blocks -> Gc_cache.Registry.make "iblp" ~k ~blocks ~seed:1)
-      ~l2_lines:256
-  in
-  Two_level.run t stream;
-  let s = Two_level.stats t in
-  Alcotest.(check int) "l1 sees every access" 4096 s.Two_level.l1.Two_level.accesses;
-  Alcotest.(check int) "l2 sees l1 misses" s.Two_level.l1.Two_level.misses
-    s.Two_level.l2.Two_level.accesses;
-  Alcotest.(check int) "row opens = l2 misses" s.Two_level.l2.Two_level.misses
-    s.Two_level.row_opens;
-  Alcotest.(check int) "bytes l2->l1" (64 * s.Two_level.l1.Two_level.misses)
-    s.Two_level.bytes_l2_to_l1;
-  (* A cold sequential stream: L1 misses every line; a GC L2 opens each
-     row once (512 rows for 4096 lines at B = 8). *)
-  Alcotest.(check int) "l1 misses all" 4096 s.Two_level.l1.Two_level.misses;
-  Alcotest.(check int) "one open per row" 512 s.Two_level.row_opens
-
-let test_two_level_gc_l2_beats_item_l2 () =
-  (* With spatial locality at the boundary, a GC-aware L2 opens far fewer
-     rows than an item-granularity L2. *)
-  let geo = Geometry.create ~line_bytes:64 ~row_bytes:1024 in
-  let stream =
-    Workloads.interleave
-      (Workloads.sequential ~n:8192 ~start:0 ~step:64)
-      (Workloads.zipf_records (rng ()) ~n:8192 ~records:256 ~record_bytes:64
-         ~alpha:1.0 ~base:4_194_304)
-  in
-  let opens l2_name =
-    let t =
-      Two_level.create geo
-        ~l1_policy:(fun ~k ~blocks -> Gc_cache.Registry.make "lru" ~k ~blocks ~seed:1)
-        ~l1_lines:64
-        ~l2_policy:(fun ~k ~blocks ->
-          Gc_cache.Registry.make l2_name ~k ~blocks ~seed:1)
-        ~l2_lines:1024
-    in
-    Two_level.run t stream;
-    (Two_level.stats t).Two_level.row_opens
-  in
-  Alcotest.(check bool) "GC L2 opens fewer rows" true
-    (opens "iblp" < opens "lru")
-
 (* ----------------------------------------------------------------- kernels *)
 
 (* Kernel streams come from the shared catalog (also the source for
@@ -341,28 +290,6 @@ let test_writeback_flush_idempotent () =
   Alcotest.(check int) "second flush writes nothing" first
     (Writeback.stats wb).Writeback.dirty_evictions
 
-let test_two_level_filtering () =
-  (* L2 never sees more accesses than L1 misses, and row opens never exceed
-     L2 accesses. *)
-  let geo = Geometry.create ~line_bytes:64 ~row_bytes:1024 in
-  let t =
-    Two_level.create geo
-      ~l1_policy:(fun ~k ~blocks -> Gc_cache.Registry.make "lru" ~k ~blocks ~seed:2)
-      ~l1_lines:128
-      ~l2_policy:(fun ~k ~blocks -> Gc_cache.Registry.make "gcm" ~k ~blocks ~seed:2)
-      ~l2_lines:1024
-  in
-  Two_level.run t
-    (Workloads.zipf_records (rng ()) ~n:30_000 ~records:4096 ~record_bytes:64
-       ~alpha:0.9 ~base:0);
-  let s = Two_level.stats t in
-  Alcotest.(check bool) "l2 accesses = l1 misses" true
-    (s.Two_level.l2.Two_level.accesses = s.Two_level.l1.Two_level.misses);
-  Alcotest.(check bool) "row opens <= l2 accesses" true
-    (s.Two_level.row_opens <= s.Two_level.l2.Two_level.accesses);
-  Alcotest.(check bool) "filtering happened" true
-    (s.Two_level.l2.Two_level.accesses < s.Two_level.l1.Two_level.accesses)
-
 let () =
   Alcotest.run "gc_memhier"
     [
@@ -386,11 +313,6 @@ let () =
           Alcotest.test_case "skewed records" `Quick test_skewed_records_favour_item_policies;
           Alcotest.test_case "stats consistency" `Quick test_hierarchy_stats_consistency;
         ] );
-      ( "two_level",
-        [
-          Alcotest.test_case "accounting" `Quick test_two_level_accounting;
-          Alcotest.test_case "GC L2 beats item L2" `Quick test_two_level_gc_l2_beats_item_l2;
-        ] );
       ( "kernels",
         [
           Alcotest.test_case "matmul footprint" `Quick test_matmul_same_footprint;
@@ -407,6 +329,4 @@ let () =
           Alcotest.test_case "clean reads" `Quick test_writeback_clean_reads_write_nothing;
           Alcotest.test_case "flush idempotent" `Quick test_writeback_flush_idempotent;
         ] );
-      ( "two_level_more",
-        [ Alcotest.test_case "filtering" `Quick test_two_level_filtering ] );
     ]

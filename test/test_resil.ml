@@ -9,7 +9,7 @@
 
 module Json = Gc_obs.Json
 module Rng = Gc_trace.Rng
-module Retry = Gc_resil.Retry
+module Retry = Gc_exec.Retry
 module Breaker = Gc_resil.Breaker
 module Rc = Gc_resil.Resilient_client
 module Supervise = Gc_resil.Supervise
@@ -105,7 +105,7 @@ let test_retry_budget_stops_the_session () =
     }
   in
   let r =
-    Retry.run ~policy ~rng:(Rng.create 1)
+    Retry.run ~policy ~sleep:Gc_exec.Pool.nap ~rng:(Rng.create 1)
       ~retryable:(fun _ -> true)
       (fun ~attempt:_ -> Error "down")
   in

@@ -60,7 +60,8 @@ let reply_exn = function
       match Protocol.reply_of_json j with
       | Ok (id, reply) -> (id, reply)
       | Error msg -> Alcotest.failf "malformed reply %s: %s" (Json.to_string j) msg)
-  | Error msg -> Alcotest.failf "request failed: %s" msg
+  | Error e ->
+      Alcotest.failf "request failed: %s" (Client.string_of_client_error e)
 
 let kind_of = function
   | _, Protocol.Ok_result _ -> "ok"
@@ -70,6 +71,18 @@ let result_exn r =
   match reply_exn r with
   | _, Protocol.Ok_result result -> result
   | _, Protocol.Err (kind, msg) -> Alcotest.failf "error reply %s: %s" kind msg
+
+(* A transport failure on a connection the case expects to work fails
+   the test. *)
+let connect_exn addr =
+  match Client.connect_result addr with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "connect: %s" (Client.string_of_client_error e)
+
+let send_exn c json =
+  match Client.send_result c json with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "send: %s" (Client.string_of_client_error e)
 
 (* ------------------------------------------------------- request builders *)
 
@@ -500,7 +513,7 @@ let small_server =
 let await_stats ?(timeout = 10.) addr pred ~what =
   let give_up = Unix.gettimeofday () +. timeout in
   let rec go () =
-    let stats = result_exn (Client.request addr (op_req "stats")) in
+    let stats = result_exn (Client.request_result addr (op_req "stats")) in
     if pred stats then stats
     else if Unix.gettimeofday () > give_up then
       Alcotest.failf "server never settled: %s (last: %s)" what
@@ -514,9 +527,9 @@ let await_stats ?(timeout = 10.) addr pred ~what =
 
 let test_serve_happy_path () =
   with_server ~config:small_server (fun addr _t ->
-      let health = result_exn (Client.request addr (op_req "health")) in
+      let health = result_exn (Client.request_result addr (op_req "health")) in
       Alcotest.(check string) "serving" "serving" (string_field "state" health);
-      let sim = result_exn (Client.request addr (sim_req ())) in
+      let sim = result_exn (Client.request_result addr (sim_req ())) in
       let metrics =
         match field "metrics" sim with
         | Some m -> m
@@ -524,7 +537,7 @@ let test_serve_happy_path () =
       in
       Alcotest.(check int) "all accesses simulated" 5000
         (int_field "accesses" metrics);
-      let curve = result_exn (Client.request addr (curve_req ())) in
+      let curve = result_exn (Client.request_result addr (curve_req ())) in
       match field "curve" curve with
       | Some (Json.Array [ _; _ ]) -> ()
       | _ -> Alcotest.failf "unexpected curve %s" (Json.to_string curve))
@@ -563,10 +576,10 @@ let test_serve_tcp_listener () =
   in
   let check_serves port =
     let addr = Client.Tcp ("127.0.0.1", port) in
-    let health = result_exn (Client.request addr (op_req "health")) in
+    let health = result_exn (Client.request_result addr (op_req "health")) in
     Alcotest.(check string) "serving over tcp" "serving"
       (string_field "state" health);
-    let sim = result_exn (Client.request addr (sim_req ())) in
+    let sim = result_exn (Client.request_result addr (sim_req ())) in
     match field "metrics" sim with
     | Some m ->
         Alcotest.(check int) "sim over tcp" 5000 (int_field "accesses" m)
@@ -592,17 +605,13 @@ let test_serve_tcp_listener () =
 let test_serve_pipelined_ids () =
   (* Two requests down one connection; replies match up by echoed id. *)
   with_server ~config:small_server (fun addr _t ->
-      let c = Client.connect addr in
+      let c = connect_exn addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
-          Client.send c (sim_req ~id:(Json.Int 1) ());
-          Client.send c (sim_req ~id:(Json.Int 2) ~policy:"fifo" ());
-          let take () =
-            match Client.recv ~timeout:30. c with
-            | Ok j -> reply_exn (Ok j)
-            | Error e -> Alcotest.failf "recv: %s" e
-          in
+          send_exn c (sim_req ~id:(Json.Int 1) ());
+          send_exn c (sim_req ~id:(Json.Int 2) ~policy:"fifo" ());
+          let take () = reply_exn (Client.recv_result ~timeout:30. c) in
           let ids =
             List.sort compare
               (List.map
@@ -619,7 +628,7 @@ let test_serve_pipelined_ids () =
 
 let test_serve_malformed_json_keeps_connection () =
   with_server ~config:small_server (fun addr _t ->
-      let c = Client.connect addr in
+      let c = connect_exn addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
@@ -639,15 +648,15 @@ let test_serve_malformed_json_keeps_connection () =
             Unix.write_substring (Client.fd c) (header ^ junk) 0
               (String.length header + String.length junk)
           in
-          (match reply_exn (Client.recv ~timeout:10. c) with
+          (match reply_exn (Client.recv_result ~timeout:10. c) with
           | _, Protocol.Err (kind, msg) ->
               Alcotest.(check string) "protocol kind" Protocol.kind_protocol kind;
               Alcotest.(check bool) "positioned diagnostic" true
                 (Test_util.contains msg "offset")
           | _ -> Alcotest.fail "junk payload got an ok reply");
           (* Same connection still serves. *)
-          Client.send c (op_req "health");
-          match reply_exn (Client.recv ~timeout:10. c) with
+          send_exn c (op_req "health");
+          match reply_exn (Client.recv_result ~timeout:10. c) with
           | _, Protocol.Ok_result h ->
               Alcotest.(check string) "still serving" "serving"
                 (string_field "state" h)
@@ -656,7 +665,7 @@ let test_serve_malformed_json_keeps_connection () =
 let test_serve_oversized_frame () =
   let config = { small_server with Server.max_frame = 512 } in
   with_server ~config (fun addr _t ->
-      let c = Client.connect addr in
+      let c = connect_exn addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
@@ -665,25 +674,25 @@ let test_serve_oversized_frame () =
           let (_ : int) =
             Unix.write_substring (Client.fd c) "\x00\x01\x00\x00" 0 4
           in
-          (match reply_exn (Client.recv ~timeout:10. c) with
+          (match reply_exn (Client.recv_result ~timeout:10. c) with
           | _, Protocol.Err (kind, msg) ->
               Alcotest.(check string) "protocol kind" Protocol.kind_protocol kind;
               Alcotest.(check bool) "names the cap" true
                 (Test_util.contains msg "frame cap")
           | _ -> Alcotest.fail "oversized frame got an ok reply");
-          (match Client.recv ~timeout:5. c with
+          (match Client.recv_result ~timeout:5. c with
           | Error _ -> ()
           | Ok j ->
               Alcotest.failf "connection survived an oversized frame: %s"
                 (Json.to_string j)));
       (* And the server itself is still perfectly serviceable. *)
-      let sim = result_exn (Client.request addr (sim_req ())) in
+      let sim = result_exn (Client.request_result addr (sim_req ())) in
       Alcotest.(check bool) "server still serves" true (field "metrics" sim <> None))
 
 let test_serve_slow_loris () =
   let config = { small_server with Server.frame_timeout = 0.3 } in
   with_server ~config (fun addr _t ->
-      let c = Client.connect addr in
+      let c = connect_exn addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
@@ -692,7 +701,7 @@ let test_serve_slow_loris () =
              instead of pinning the reader. *)
           let started = Unix.gettimeofday () in
           let (_ : int) = Unix.write_substring (Client.fd c) "\x00" 0 1 in
-          (match reply_exn (Client.recv ~timeout:10. c) with
+          (match reply_exn (Client.recv_result ~timeout:10. c) with
           | _, Protocol.Err (kind, _) ->
               Alcotest.(check string) "protocol kind" Protocol.kind_protocol kind
           | _ -> Alcotest.fail "slow-loris got an ok reply");
@@ -700,7 +709,7 @@ let test_serve_slow_loris () =
           Alcotest.(check bool)
             (Printf.sprintf "cut off promptly (%.2fs)" elapsed)
             true (elapsed < 5.));
-      let health = result_exn (Client.request addr (op_req "health")) in
+      let health = result_exn (Client.request_result addr (op_req "health")) in
       Alcotest.(check string) "still serving" "serving"
         (string_field "state" health))
 
@@ -710,8 +719,8 @@ let test_serve_disconnect_cancels () =
          vanish.  The disconnect must cancel the in-flight work and
          reclaim the worker — in-flight returns to 0 long before the 20s
          deadline could. *)
-      let c = Client.connect addr in
-      Client.send c (sim_req ~policy:"broken:hang@0" ());
+      let c = connect_exn addr in
+      send_exn c (sim_req ~policy:"broken:hang@0" ());
       let (_ : Json.t) =
         await_stats addr ~what:"hang admitted"
           (fun stats -> int_field "inflight" stats >= 1)
@@ -725,7 +734,7 @@ let test_serve_disconnect_cancels () =
       in
       Alcotest.(check int) "queue drained too" 0 (int_field "queue_depth" stats);
       (* The reclaimed worker still serves. *)
-      let sim = result_exn (Client.request addr (sim_req ())) in
+      let sim = result_exn (Client.request_result addr (sim_req ())) in
       Alcotest.(check bool) "worker reclaimed" true (field "metrics" sim <> None))
 
 let test_serve_one_shot_clients_are_not_disconnects () =
@@ -736,7 +745,8 @@ let test_serve_one_shot_clients_are_not_disconnects () =
       for _ = 1 to 120 do
         let (_ : Json.t) =
           result_exn
-            (Client.request addr (sim_req ~k:64 ~load:(load ~n:256 ()) ()))
+            (Client.request_result addr
+               (sim_req ~k:64 ~load:(load ~n:256 ()) ()))
         in
         ()
       done;
@@ -751,7 +761,11 @@ let test_serve_one_shot_clients_are_not_disconnects () =
 let test_serve_deadline_timeout () =
   let config = { small_server with Server.deadline = 0.3; grace = 0.2 } in
   with_server ~config (fun addr _t ->
-      match reply_exn (Client.request ~timeout:20. addr (sim_req ~policy:"broken:hang@0" ())) with
+      match
+        reply_exn
+          (Client.request_result ~timeout:20. addr
+             (sim_req ~policy:"broken:hang@0" ()))
+      with
       | _, Protocol.Err (kind, msg) ->
           Alcotest.(check string) "timeout kind" Protocol.kind_timeout kind;
           Alcotest.(check bool) "names the deadline" true
@@ -763,7 +777,9 @@ let test_serve_transient_retry () =
      retry, so with one retry the client just sees an ok reply. *)
   with_server ~config:{ small_server with Server.retries = 1 } (fun addr _t ->
       let sim =
-        result_exn (Client.request ~timeout:30. addr (sim_req ~policy:"broken:flaky@0" ()))
+        result_exn
+          (Client.request_result ~timeout:30. addr
+             (sim_req ~policy:"broken:flaky@0" ()))
       in
       Alcotest.(check bool) "retried to success" true (field "metrics" sim <> None))
 
@@ -774,20 +790,24 @@ let test_serve_overload_sheds () =
   with_server ~config (fun addr _t ->
       (* Pin the single worker, fill the depth-1 queue, then watch the
          next request get an explicit overloaded reply immediately. *)
-      let pin = Client.connect addr in
-      Client.send pin (sim_req ~id:(Json.Int 1) ~policy:"broken:hang@0" ());
+      let pin = connect_exn addr in
+      send_exn pin (sim_req ~id:(Json.Int 1) ~policy:"broken:hang@0" ());
       let (_ : Json.t) =
         await_stats addr ~what:"hang admitted"
           (fun stats -> int_field "inflight" stats >= 1)
       in
-      let filler = Client.connect addr in
-      Client.send filler (sim_req ~id:(Json.Int 2) ());
+      let filler = connect_exn addr in
+      send_exn filler (sim_req ~id:(Json.Int 2) ());
       let (_ : Json.t) =
         await_stats addr ~what:"queue full"
           (fun stats -> int_field "queue_depth" stats >= 1)
       in
       let started = Unix.gettimeofday () in
-      (match reply_exn (Client.request ~timeout:10. addr (sim_req ~id:(Json.Int 3) ())) with
+      (match
+         reply_exn
+           (Client.request_result ~timeout:10. addr
+              (sim_req ~id:(Json.Int 3) ()))
+       with
       | _, Protocol.Err (kind, msg) ->
           Alcotest.(check string) "shed with overloaded" Protocol.kind_overloaded
             kind;
@@ -824,13 +844,13 @@ let test_serve_budget_expires () =
     }
   in
   with_server ~config (fun addr _t ->
-      let pin = Client.connect addr in
-      Client.send pin (sim_req ~id:(Json.Int 1) ~policy:"broken:hang@0" ());
+      let pin = connect_exn addr in
+      send_exn pin (sim_req ~id:(Json.Int 1) ~policy:"broken:hang@0" ());
       let (_ : Json.t) =
         await_stats addr ~what:"hang admitted"
           (fun stats -> int_field "inflight" stats >= 1)
       in
-      let c = Client.connect addr in
+      let c = connect_exn addr in
       Fun.protect
         ~finally:(fun () ->
           Client.close c;
@@ -838,11 +858,12 @@ let test_serve_budget_expires () =
         (fun () ->
           let n = 3 in
           for i = 1 to n do
-            Client.send c (sim_req ~id:(Json.Int (100 + i)) ~budget_ms:200 ())
+            send_exn c (sim_req ~id:(Json.Int (100 + i)) ~budget_ms:200 ())
           done;
           for _ = 1 to n do
-            match Client.recv ~timeout:30. c with
-            | Error e -> Alcotest.failf "recv: %s" e
+            match Client.recv_result ~timeout:30. c with
+            | Error e ->
+                Alcotest.failf "recv: %s" (Client.string_of_client_error e)
             | Ok raw ->
                 (match reply_exn (Ok raw) with
                 | _, Protocol.Err (kind, msg) ->
@@ -868,8 +889,8 @@ let test_serve_graceful_drain () =
       (* A meaty request rides through the drain; a request sent after the
          drain begins is refused with a draining reply; both verdicts come
          back on the same connection, matched by id. *)
-      let c = Client.connect addr in
-      Client.send c
+      let c = connect_exn addr in
+      send_exn c
         (sim_req ~id:(Json.Int 1) ~load:(load ~workload:"zipf" ~n:2_000_000 ()) ());
       let (_ : Json.t) =
         await_stats addr ~what:"big sim admitted"
@@ -881,12 +902,8 @@ let test_serve_graceful_drain () =
         Thread.delay 0.01
       done;
       Alcotest.(check bool) "drain flag up" true (Server.draining t);
-      Client.send c (sim_req ~id:(Json.Int 2) ());
-      let take () =
-        match Client.recv ~timeout:60. c with
-        | Ok j -> reply_exn (Ok j)
-        | Error e -> Alcotest.failf "recv during drain: %s" e
-      in
+      send_exn c (sim_req ~id:(Json.Int 2) ());
+      let take () = reply_exn (Client.recv_result ~timeout:60. c) in
       let verdicts =
         List.map
           (fun (id, reply) ->
@@ -901,11 +918,11 @@ let test_serve_graceful_drain () =
       Thread.join drainer;
       Client.close c;
       (* Fully stopped: the socket no longer accepts. *)
-      match Client.connect addr with
-      | c2 ->
+      match Client.connect_result addr with
+      | Ok c2 ->
           Client.close c2;
           Alcotest.fail "drained server still accepts connections"
-      | exception Unix.Unix_error _ -> ())
+      | Error _ -> ())
 
 (* A labeled histogram row in a stats reply's metric dump. *)
 let histogram_row stats ~name ~op =
@@ -933,7 +950,7 @@ let test_serve_trace_reconciles_latency () =
     ~config:{ small_server with Server.trace = Some trace_path }
     (fun addr _t ->
       let (_ : Json.t) =
-        result_exn (Client.request addr (sim_req ~id:(Json.Int 1) ()))
+        result_exn (Client.request_result addr (sim_req ~id:(Json.Int 1) ()))
       in
       (* The latency observation lands just after the reply is written;
          poll stats until the histogram has it. *)
@@ -1011,12 +1028,14 @@ let spawn_gcserved args =
 let await_ready addr =
   let give_up = Unix.gettimeofday () +. 15. in
   let rec go () =
-    match Client.request ~timeout:2. addr (op_req "health") with
+    match Client.request_result ~timeout:2. addr (op_req "health") with
     | Ok _ -> ()
     | Error _ when Unix.gettimeofday () < give_up ->
         Thread.delay 0.05;
         go ()
-    | Error e -> Alcotest.failf "gcserved never became ready: %s" e
+    | Error e ->
+        Alcotest.failf "gcserved never became ready: %s"
+          (Client.string_of_client_error e)
   in
   go ()
 
@@ -1079,9 +1098,9 @@ let test_soak_drain () =
         (* Garbage, partial frames, bogus lengths, instant hangups — all
            while the real clients hammer. *)
         for j = 0 to 40 do
-          match Client.connect ~timeout:2. addr with
-          | exception Unix.Unix_error _ -> ()
-          | c ->
+          match Client.connect_result ~timeout:2. addr with
+          | Error _ | (exception Unix.Unix_error _) -> ()
+          | Ok c ->
               (try
                  let payload =
                    match j mod 4 with
@@ -1142,8 +1161,8 @@ let test_soak_second_signal_hard_exit () =
       await_ready addr;
       (* Wedge the drain behind an effectively unbounded in-flight hang,
          then demand the supervisor's second-signal hard exit. *)
-      let c = Client.connect addr in
-      Client.send c (sim_req ~policy:"broken:hang@0" ());
+      let c = connect_exn addr in
+      send_exn c (sim_req ~policy:"broken:hang@0" ());
       let (_ : Json.t) =
         await_stats addr ~what:"hang admitted"
           (fun stats -> int_field "inflight" stats >= 1)

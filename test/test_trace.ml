@@ -340,14 +340,18 @@ let qcheck_io_roundtrip =
     (Test_util.small_trace_arbitrary ())
     (fun (bs, reqs) ->
       let t = Test_util.trace_of (bs, reqs) in
-      let t' = Trace_io.of_string (Trace_io.to_string t) in
+      let t' =
+        Test_util.decoded (Trace_io.of_string_result (Trace_io.to_string t))
+      in
       t'.Trace.requests = t.Trace.requests
       && Block_map.block_size t'.Trace.blocks = bs)
 
 let test_io_explicit_roundtrip () =
   let m = Block_map.of_blocks [ [| 1; 3 |]; [| 5; 6; 7 |] ] in
   let t = Trace.of_list m [ 1; 5; 3; 7; 1 ] in
-  let t' = Trace_io.of_string (Trace_io.to_string t) in
+  let t' =
+    Test_util.decoded (Trace_io.of_string_result (Trace_io.to_string t))
+  in
   Alcotest.(check (array int)) "requests" t.Trace.requests t'.Trace.requests;
   (* Block structure preserved: 1 and 3 share, 1 and 5 do not. *)
   Alcotest.(check bool) "same block" true (Block_map.same_block t'.Trace.blocks 1 3);
@@ -358,14 +362,16 @@ let qcheck_binary_roundtrip =
     (Test_util.small_trace_arbitrary ())
     (fun (bs, reqs) ->
       let t = Test_util.trace_of (bs, reqs) in
-      let t2 = Trace_io.of_bytes (Trace_io.to_bytes t) in
+      let t2 =
+        Test_util.decoded (Trace_io.of_bytes_result (Trace_io.to_bytes t))
+      in
       t2.Trace.requests = t.Trace.requests
       && Block_map.block_size t2.Trace.blocks = bs)
 
 let test_binary_explicit_roundtrip () =
   let m = Block_map.of_blocks [ [| 1; 3 |]; [| 5; 6; 7 |] ] in
   let t = Trace.of_list m [ 1; 5; 3; 7; 1 ] in
-  let t2 = Trace_io.of_bytes (Trace_io.to_bytes t) in
+  let t2 = Test_util.decoded (Trace_io.of_bytes_result (Trace_io.to_bytes t)) in
   Alcotest.(check (array int)) "requests" t.Trace.requests t2.Trace.requests;
   Alcotest.(check bool) "same block" true
     (Block_map.same_block t2.Trace.blocks 1 3);
@@ -386,18 +392,18 @@ let test_binary_compact_on_sequential () =
 let test_binary_rejects_garbage () =
   List.iter
     (fun b ->
-      match Trace_io.of_bytes (Bytes.of_string b) with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.failf "accepted %S" b)
+      match Trace_io.of_bytes_result (Bytes.of_string b) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted %S" b)
     [ ""; "GCTB"; "NOPE\001\000\004\000"; "GCTB\002\000\004\000";
       "GCTB\001\007" ]
 
 let test_io_rejects_garbage () =
   List.iter
     (fun s ->
-      match Trace_io.of_string s with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.failf "accepted %S" s)
+      match Trace_io.of_string_result s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted %S" s)
     [ ""; "gctrace 2\n"; "gctrace 1\nblocks what 3\n"; "gctrace 1\nblocks uniform x\n" ]
 
 let test_block_run_lengths () =

@@ -61,6 +61,12 @@ let trace_of (block_size, requests) =
     (Gc_trace.Block_map.uniform ~block_size)
     (Array.copy requests)
 
+(* Unwrap a strict Trace_io decode; an error fails the test with its
+   positioned diagnostic. *)
+let decoded = function
+  | Ok t -> t
+  | Error e -> Alcotest.failf "decode: %s" (Gc_trace.Trace_io.string_of_error e)
+
 let check_float ~eps msg expected actual =
   if Float.abs (expected -. actual) > eps then
     Alcotest.failf "%s: expected %.6f, got %.6f" msg expected actual
@@ -263,7 +269,13 @@ let build_golden_manifest () =
     Gc_trace.Trace.make blocks [| 0; 1; 4; 0; 5; 1; 8; 0; 4; 12 |]
   in
   let result =
-    Gc_cache.Obs_run.run_policy ~histograms:true ~k:8 ~seed:1 "iblp" trace
+    match
+      Gc_cache.Obs_run.run_policy_result ~histograms:true ~k:8 ~seed:1 "iblp"
+        trace
+    with
+    | Ok r -> r
+    | Error f ->
+        Alcotest.failf "golden run failed: %s" f.Gc_cache.Obs_run.message
   in
   Gc_cache.Obs_run.manifest ~tool:"gcsim" ~command:"run" ~seed:1 ~k:8
     ~trace:(Gc_cache.Obs_run.trace_info ~path:"golden.gct" trace)
