@@ -3,14 +3,13 @@
    Exit codes follow the shared contract with gclint's reading:
      0  clean (no findings)
      1  findings reported
-     2  usage error (unknown flag, unknown rule id, bad config)
+     2  usage error (unknown flag, unknown rule id, missing path)
      3  internal error (the lint engine itself failed)
 
    `check` lints the tree (or explicit root-relative paths), `rules`
    lists the catalog, `explain <id>` prints one rule's full story. *)
 
 open Cmdliner
-module Config = Gc_lint.Config
 module Engine = Gc_lint.Engine
 module Finding = Gc_lint.Finding
 module Rules = Gc_lint.Rules
@@ -27,18 +26,6 @@ let guard f =
       Printf.eprintf "gclint: internal error: %s\n%!" (Printexc.to_string exn);
       internal_error
 
-let load_config ~root ~config_path =
-  let load path =
-    match Config.load ~known_rules:Rules.ids path with
-    | Ok c -> c
-    | Error msg -> Cli_common.fail_usage "%s" msg
-  in
-  match config_path with
-  | Some path -> load path
-  | None ->
-      let path = Filename.concat root "lint.toml" in
-      if Sys.file_exists path then load path else Config.empty
-
 (* ----------------------------------------------------------------- check *)
 
 let findings_json findings =
@@ -49,19 +36,18 @@ let findings_json findings =
       ("findings", Json.Array (List.map Finding.to_json findings));
     ]
 
-let check root config_path json paths =
+let check root json paths =
   guard (fun () ->
       (* An absent root would "discover" zero files and report the tree
          clean — make the typo loud instead. *)
       if not (Sys.file_exists root && Sys.is_directory root) then
         Cli_common.fail_usage "no such directory: %s" root;
-      let config = load_config ~root ~config_path in
       List.iter
         (fun p ->
           if not (Sys.file_exists (Filename.concat root p)) then
             Cli_common.fail_usage "no such file under %s: %s" root p)
         paths;
-      let findings = Engine.check_tree ~config ~root paths in
+      let findings = Engine.check_tree ~root paths in
       if json then print_endline (Json.to_string (findings_json findings))
       else List.iter (fun f -> print_endline (Finding.to_string f)) findings;
       match findings with
@@ -80,16 +66,8 @@ let root_arg =
     & info [ "root" ] ~docv:"DIR"
         ~doc:
           "Repository root: files are discovered under $(docv)/lib, bin, \
-           bench, and test, and explicit paths are resolved against it.")
-
-let config_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "config" ] ~docv:"FILE"
-        ~doc:
-          "Lint configuration (default: $(b,lint.toml) under $(b,--root) \
-           when present).")
+           bench, test, and examples, and explicit paths are resolved \
+           against it.")
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
@@ -100,7 +78,7 @@ let paths_arg =
     & info [] ~docv:"PATH"
         ~doc:
           "Root-relative files to lint instead of discovering the tree \
-           (excluded paths are linted when named explicitly).")
+           (the fixture corpus is linted when named explicitly).")
 
 let check_cmd =
   Cmd.v
@@ -108,7 +86,7 @@ let check_cmd =
        ~doc:
          "Lint the tree against the project conventions (exit 0 clean, 1 \
           findings).")
-    Term.(const check $ root_arg $ config_arg $ json_arg $ paths_arg)
+    Term.(const check $ root_arg $ json_arg $ paths_arg)
 
 (* ----------------------------------------------------------------- rules *)
 
@@ -150,8 +128,7 @@ let explain id =
                          Fix: %s\n\n\
                          Suppress one site with a justification comment:\n\n  \
                          (expr [@lint.allow %S])\n\n\
-                         or a whole file with [@@@lint.allow %S], or per-path \
-                         in lint.toml.\n"
+                         or one binding with [@@lint.allow %S].\n"
             r.Rules.id
             (Finding.severity_to_string r.Rules.severity)
             r.Rules.scope_doc r.Rules.rationale r.Rules.example r.Rules.fix id

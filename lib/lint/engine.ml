@@ -1,6 +1,10 @@
 open Parsetree
 
-let scan_dirs = [ "lib"; "bin"; "bench"; "test" ]
+let scan_dirs = [ "lib"; "bin"; "bench"; "test"; "examples" ]
+
+(* Never discovered: the fixture corpus exists to trip every rule, and
+   test/test_lint.ml names its files explicitly. *)
+let fixture_dir = "test/lint_fixtures"
 
 (* -------------------------------------------------------------- idents *)
 
@@ -179,8 +183,6 @@ let pat_mentions_rescue p =
 
 type ctx = {
   path : string;  (* root-relative, used for scoping and diagnostics *)
-  config : Config.t;
-  mutable file_allow : string list;  (* [@@@lint.allow] ids *)
   mutable stack : string list list;  (* nested [@lint.allow] scopes *)
   mutable rec_names : string list list;  (* enclosing [let rec] bindings *)
   sanctioned : (int, unit) Hashtbl.t;  (* start offsets of blessed idents *)
@@ -207,13 +209,9 @@ let emit_raw ctx loc rule message =
     }
     :: ctx.findings
 
-let suppressed ctx id =
-  List.mem id ctx.file_allow
-  || List.exists (List.mem id) ctx.stack
-  || Config.allowed ctx.config ~rule:id ~file:ctx.path
-
 let emit ctx loc id message =
-  if Rules.applies ~id ~file:ctx.path && not (suppressed ctx id) then begin
+  let suppressed = List.exists (List.mem id) ctx.stack in
+  if Rules.applies ~id ~file:ctx.path && not suppressed then begin
     let line, col = pos_of loc in
     ctx.findings <-
       {
@@ -500,17 +498,6 @@ let iterator ctx =
         | _ -> super.structure_item it si);
   }
 
-(* [@@@lint.allow] anywhere in the file suppresses for the whole file;
-   collected before the walk so placement does not matter. *)
-let collect_file_allows ctx structure =
-  List.iter
-    (fun si ->
-      match si.pstr_desc with
-      | Pstr_attribute a ->
-          ctx.file_allow <- allow_ids ctx [ a ] @ ctx.file_allow
-      | _ -> ())
-    structure
-
 let parse_error_loc exn =
   match Location.error_of_exn exn with
   | Some (`Ok (err : Location.error)) -> err.main.loc
@@ -539,17 +526,14 @@ let run_file ctx source =
   else
     match protected_parse Parse.implementation lexbuf with
     | Ok structure ->
-        collect_file_allows ctx structure;
         let it = iterator ctx in
         it.structure it structure
     | Error loc -> emit_raw ctx loc "parse-error" "file does not parse"
 
-let check_file ?(config = Config.empty) ?as_path ~root path =
+let check_file ?as_path ~root path =
   let ctx =
     {
       path = (match as_path with Some p -> p | None -> path);
-      config;
-      file_allow = [];
       stack = [];
       rec_names = [];
       sanctioned = Hashtbl.create 8;
@@ -564,7 +548,7 @@ let check_file ?(config = Config.empty) ?as_path ~root path =
 
 (* ------------------------------------------------------------ discovery *)
 
-let discover ?(config = Config.empty) ~root () =
+let discover ~root () =
   let acc = ref [] in
   let rec walk rel abs =
     Array.iter
@@ -572,7 +556,9 @@ let discover ?(config = Config.empty) ~root () =
         if String.length name > 0 && name.[0] <> '.' && name <> "_build"
         then begin
           let rel = rel ^ "/" ^ name and abs = Filename.concat abs name in
-          if Sys.is_directory abs then walk rel abs
+          if Sys.is_directory abs then begin
+            if rel <> fixture_dir then walk rel abs
+          end
           else if
             Filename.check_suffix name ".ml"
             || Filename.check_suffix name ".mli"
@@ -585,11 +571,9 @@ let discover ?(config = Config.empty) ~root () =
       let abs = Filename.concat root dir in
       if Sys.file_exists abs && Sys.is_directory abs then walk dir abs)
     scan_dirs;
-  List.filter
-    (fun file -> not (Config.excluded config ~file))
-    (List.sort String.compare !acc)
+  List.sort String.compare !acc
 
-let check_tree ?(config = Config.empty) ~root paths =
-  let paths = match paths with [] -> discover ~config ~root () | ps -> ps in
+let check_tree ~root paths =
+  let paths = match paths with [] -> discover ~root () | ps -> ps in
   List.sort Finding.compare
-    (List.concat_map (fun p -> check_file ~config ~root p) paths)
+    (List.concat_map (fun p -> check_file ~root p) paths)

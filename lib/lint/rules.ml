@@ -22,7 +22,7 @@ let all =
          the process.";
       example = "let h = Domain.spawn worker";
       fix = "run the task through Gc_exec.Pool.run (lib/exec owns spawning)";
-      scope_doc = "everywhere except lib/exec/";
+      scope_doc = "everywhere except lib/exec/ and test/";
     };
     {
       id = "swallowed-cancellation";
@@ -79,8 +79,9 @@ let all =
          truncated file under a final name.  A direct open_out skips all \
          of that.";
       example = "let oc = open_out \"manifest.json\"";
-      fix = "write through Gc_obs.Export (write_string/write_json are atomic)";
-      scope_doc = "everywhere except lib/obs/export.ml";
+      fix =
+        "write through Gc_obs.Export (write_string_atomic/write_json_atomic)";
+      scope_doc = "everywhere except lib/obs/export.ml and test/";
     };
     {
       id = "unsafe-deser";
@@ -138,7 +139,7 @@ let all =
          matches) force the empty case to say what went wrong.";
       example = "let first = List.hd xs";
       fix = "match on the shape, or use the _opt variant with an explicit error";
-      scope_doc = "everywhere";
+      scope_doc = "everywhere except test/ and bench/";
     };
     {
       id = "wall-clock-timing";
@@ -220,19 +221,25 @@ let under dir file =
   String.length file >= String.length dir
   && String.sub file 0 (String.length dir) = dir
 
+(* Tests spawn raw threads/domains on purpose (to race the supervised
+   runtime from outside it), write scratch files without crash-safety
+   ceremony, and take partial accessors of literal lists they just built;
+   bench/ does the last too. *)
 let applies ~id ~file =
   match id with
-  | "spawn-outside-pool" -> not (under "lib/exec/" file)
+  | "spawn-outside-pool" -> not (under "lib/exec/" file || under "test/" file)
   | "swallowed-cancellation" -> under "lib/" file
   | "exit-contract" -> under "bin/" file && file <> "bin/cli_common.ml"
-  | "raw-artifact-write" -> file <> "lib/obs/export.ml"
+  | "raw-artifact-write" ->
+      file <> "lib/obs/export.ml" && not (under "test/" file)
   | "bare-sleep" -> file <> "lib/exec/pool.ml"
   | "unbounded-retry" -> under "lib/" file || under "bin/" file
   | "print-in-lib" -> under "lib/" file
   | "wall-clock-timing" -> under "lib/" file
   | "fixed-deadline" -> under "lib/serve/" file
   | "hardcoded-endpoint" -> under "lib/" file
-  | "nondeterministic-rng" | "unsafe-deser" | "partial-stdlib" -> true
+  | "partial-stdlib" -> not (under "test/" file || under "bench/" file)
+  | "nondeterministic-rng" | "unsafe-deser" -> true
   | _ -> true
 
 let to_json r =

@@ -1,10 +1,11 @@
 (** The rule catalog.
 
-    Every rule has a stable id (the suppression and config vocabulary), a
-    severity, a one-line synopsis, a rationale grounded in the repo's own
+    Every rule has a stable id (the suppression vocabulary), a severity,
+    a one-line synopsis, a rationale grounded in the repo's own
     contracts, a violating example, and a one-line fix hint.  Detection
-    logic lives in {!Engine}; this module is the metadata the [rules] and
-    [explain] subcommands (and [doc/LINT.md]) present. *)
+    logic lives in {!Engine}; this module holds the metadata the [rules]
+    and [explain] subcommands (and [doc/LINT.md]) present, and each
+    rule's scope ({!applies}). *)
 
 type t = {
   id : string;
@@ -24,10 +25,11 @@ val ids : string list
 val find : string -> t option
 
 val applies : id:string -> file:string -> bool
-(** Whether rule [id] is active for the root-relative [file]: path scoping
-    (e.g. [exit-contract] is [bin/]-only) plus the per-rule exempt files
-    that implement the convention itself (e.g. [lib/obs/export.ml] for
-    [raw-artifact-write]). *)
+(** Whether rule [id] is active for the root-relative [file] — the one
+    place a rule's scope is decided: path scoping (e.g. [exit-contract]
+    is [bin/]-only, [partial-stdlib] skips [test/] and [bench/]) plus the
+    per-rule exempt files that implement the convention itself (e.g.
+    [lib/obs/export.ml] for [raw-artifact-write]). *)
 
 val hint : string -> string
 (** Fix hint for a rule id; [""] for unknown ids (engine diagnostics). *)

@@ -223,12 +223,5 @@ let write_string_atomic path s =
       Unix.close fd
   | exception Unix.Unix_error _ -> ()
 
-(* The plain (non-atomic) write_string/write_json variants are gone on
-   purpose: every artifact writer goes through the atomic path so a crash
-   or full disk can never leave a truncated file under a final name. *)
-let write_string = write_string_atomic
-
 let write_json_atomic path json =
   write_string_atomic path (Format.asprintf "%a@." Json.pp json)
-
-let write_json = write_json_atomic

@@ -27,17 +27,10 @@ val write_string_atomic : string -> string -> unit
     [path] — a crash, full disk, or power loss mid-write can never leave
     a truncated artifact under the final name.  The containing directory
     is fsynced after the rename where the platform allows it.  Failures
-    raise [Sys_error] with the temp file removed. *)
-
-val write_string : string -> string -> unit
-(** Alias of {!write_string_atomic}.  The plain non-atomic variant was
-    removed so that every artifact writer shares the same crash-safety
-    guarantee; streaming writers (JSONL event sinks, checkpoint journals)
-    manage their own channels instead. *)
+    raise [Sys_error] with the temp file removed.  Streaming writers
+    (JSONL event sinks, checkpoint journals) manage their own channels
+    instead. *)
 
 val write_json_atomic : string -> Json.t -> unit
 (** Pretty-printed JSON (trailing newline included) through
     {!write_string_atomic}; every run-artifact writer should use this. *)
-
-val write_json : string -> Json.t -> unit
-(** Alias of {!write_json_atomic}. *)

@@ -1,9 +1,9 @@
 (* Tests for Gc_lint: one golden fixture per rule (the convention is that
-   every new rule ships with one — see doc/LINT.md), the suppression
-   hierarchy (attribute, binding, file, lint.toml), path scoping, the
-   lint.toml parser, the gclint binary's exit-code contract and stable
-   --json surfaces, and finally the self-check: the repo's own tree must
-   be lint-clean.
+   every new rule ships with one — see doc/LINT.md), expression and
+   binding suppression, path scoping (Rules.applies, and discovery never
+   entering the fixture corpus), the gclint binary's exit-code contract
+   and stable --json surfaces, and finally the self-check: the repo's own
+   tree must be lint-clean.
 
    Fixtures live in lint_fixtures/ and only ever need to PARSE — they are
    never compiled, so they can reference modules that do not exist.  The
@@ -17,8 +17,8 @@ open Gc_lint
 let gclint = "../bin/gclint.exe"
 let fixtures = "lint_fixtures"
 
-let check ?config ~as_path file =
-  List.map Finding.to_string (Engine.check_file ?config ~as_path ~root:fixtures file)
+let check ~as_path file =
+  List.map Finding.to_string (Engine.check_file ~as_path ~root:fixtures file)
 
 let golden name ~as_path file expected =
   Alcotest.test_case name `Quick (fun () ->
@@ -87,11 +87,11 @@ let fixture_tests =
       [
         "lib/artifact.ml:3:10: error raw-artifact-write: open_out creates \
          a file outside the crash-safe Export path (fix: write through \
-         Gc_obs.Export (write_string/write_json are atomic))";
+         Gc_obs.Export (write_string_atomic/write_json_atomic))";
         "lib/artifact.ml:6:3: error raw-artifact-write: \
          Out_channel.with_open_text creates a file outside the crash-safe \
          Export path (fix: write through Gc_obs.Export \
-         (write_string/write_json are atomic))";
+         (write_string_atomic/write_json_atomic))";
       ];
     golden "unsafe-deser" ~as_path:"lib/deser.ml" "deser.ml"
       [
@@ -221,11 +221,6 @@ let test_suppressed () =
     "expression/binding [@lint.allow] silences every site" []
     (check ~as_path:"lib/suppressed.ml" "suppressed.ml")
 
-let test_file_allow () =
-  Alcotest.(check (list string))
-    "floating [@@@lint.allow] covers the whole file, wherever it sits" []
-    (check ~as_path:"lib/file_allow.ml" "file_allow.ml")
-
 let test_scope_bin_rule_in_lib () =
   (* exit-contract is a bin/-only rule: the same fixture that produces
      three findings under bin/ is clean under lib/. *)
@@ -280,71 +275,62 @@ let test_scope_exec_exempt () =
     "lib/exec/ owns spawning" []
     (check ~as_path:"lib/exec/spawn.ml" "spawn.ml")
 
-let test_config_allow_applies () =
-  let config =
-    match
-      Config.of_string ~known_rules:Rules.ids
-        "[allow]\npartial-stdlib = [\"lib/*\"]\n"
-    with
-    | Ok c -> c
-    | Error e -> Alcotest.fail e
-  in
+let test_scope_test_dir () =
+  (* Tests spawn raw threads/domains on purpose, to race the supervised
+     runtime from outside it, and write scratch files without the
+     crash-safe Export ceremony.  bench/ gets no such pass. *)
   Alcotest.(check (list string))
-    "lint.toml allowlist silences the rule for matching paths" []
-    (check ~config ~as_path:"lib/partial.ml" "partial.ml");
+    "spawn-outside-pool does not fire under test/" []
+    (check ~as_path:"test/spawn.ml" "spawn.ml");
+  Alcotest.(check (list string))
+    "raw-artifact-write does not fire under test/" []
+    (check ~as_path:"test/artifact.ml" "artifact.ml");
   Alcotest.(check int)
-    "but not for other paths" 3
-    (List.length (check ~config ~as_path:"bench/partial.ml" "partial.ml"))
+    "spawn-outside-pool still fires under bench/" 2
+    (List.length (check ~as_path:"bench/spawn.ml" "spawn.ml"));
+  Alcotest.(check int)
+    "raw-artifact-write still fires under bench/" 2
+    (List.length (check ~as_path:"bench/artifact.ml" "artifact.ml"))
 
-(* ------------------------------------------------------- config parser *)
+let test_scope_partial_test_bench () =
+  Alcotest.(check (list string))
+    "partial-stdlib does not fire under test/" []
+    (check ~as_path:"test/partial.ml" "partial.ml");
+  Alcotest.(check (list string))
+    "nor under bench/" []
+    (check ~as_path:"bench/partial.ml" "partial.ml");
+  Alcotest.(check int)
+    "but does under examples/" 3
+    (List.length (check ~as_path:"examples/partial.ml" "partial.ml"))
 
-let test_glob () =
-  let yes p s = Alcotest.(check bool) (p ^ " ~ " ^ s) true (Config.glob_match ~pattern:p s)
-  and no p s = Alcotest.(check bool) (p ^ " !~ " ^ s) false (Config.glob_match ~pattern:p s) in
-  yes "test/*" "test/test_cli.ml";
-  yes "test/*" "test/lint_fixtures/spawn.ml";
-  (* '*' crosses '/' on purpose *)
-  yes "lib/*.ml" "lib/cache/lru.ml";
-  yes "b?n/x.ml" "bin/x.ml";
-  no "test/*" "lib/test.ml";
-  no "lib" "lib/x.ml";
-  yes "*" "anything/at/all.ml"
-
-let test_config_parse () =
-  let ok =
-    Config.of_string ~known_rules:Rules.ids
-      "# policy\n\n[exclude]\npaths = [\"test/lint_fixtures/*\"]\n\n[allow]\n\
-       partial-stdlib = [\"test/*\", \"bench/*\"]\nbare-sleep = []\n"
+let test_discover_skips_fixtures () =
+  let root = Filename.temp_dir "gc_lint" "tree" in
+  let write rel =
+    let path = Filename.concat root rel in
+    let rec mkdirs dir =
+      if not (Sys.file_exists dir) then begin
+        mkdirs (Filename.dirname dir);
+        Sys.mkdir dir 0o755
+      end
+    in
+    mkdirs (Filename.dirname path);
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc "let t : int = Obj.magic 0\n")
   in
-  (match ok with
-  | Error e -> Alcotest.fail e
-  | Ok c ->
-      Alcotest.(check bool) "excluded" true
-        (Config.excluded c ~file:"test/lint_fixtures/spawn.ml");
-      Alcotest.(check bool) "allowed" true
-        (Config.allowed c ~rule:"partial-stdlib" ~file:"bench/bench_cache.ml");
-      Alcotest.(check bool) "empty glob list allows nothing" false
-        (Config.allowed c ~rule:"bare-sleep" ~file:"lib/x.ml"));
-  let err source =
-    match Config.of_string ~known_rules:Rules.ids source with
-    | Ok _ -> Alcotest.fail ("accepted: " ^ source)
-    | Error e -> e
-  in
-  Alcotest.(check string) "unknown section"
-    "line 1: unknown section [nope] (expected exclude or allow)"
-    (err "[nope]\n");
-  Alcotest.(check string) "unknown rule id"
-    "line 2: unknown rule id \"no-such-rule\" in [allow]"
-    (err "[allow]\nno-such-rule = [\"x\"]\n");
-  Alcotest.(check string) "duplicate rule id"
-    "line 3: duplicate rule id \"bare-sleep\" in [allow]"
-    (err "[allow]\nbare-sleep = [\"a\"]\nbare-sleep = [\"b\"]\n");
-  Alcotest.(check string) "key before any section"
-    "line 1: \"paths\" appears before any section"
-    (err "paths = [\"x\"]\n");
-  Alcotest.(check string) "unquoted glob"
-    "line 2: expected a quoted glob, got \"x\""
-    (err "[exclude]\npaths = [x]\n")
+  List.iter write
+    [
+      "lib/a.ml"; "test/t.ml"; "test/lint_fixtures/deser.ml";
+      "test/lint_fixtures/sub/deep.ml"; "examples/e.ml"; "doc/d.ml";
+    ];
+  let discovered = Engine.discover ~root () in
+  let explicit = Engine.check_tree ~root [ "test/lint_fixtures/deser.ml" ] in
+  ignore (Sys.command ("rm -rf " ^ Filename.quote root));
+  Alcotest.(check (list string))
+    "the fixture corpus is never discovered; examples/ is"
+    [ "examples/e.ml"; "lib/a.ml"; "test/t.ml" ]
+    discovered;
+  Alcotest.(check int)
+    "named explicitly, a fixture is still linted" 1 (List.length explicit)
 
 (* ------------------------------------------------------- the gclint CLI *)
 
@@ -396,16 +382,13 @@ let test_cli_check_findings () =
 let test_cli_check_usage () =
   let code, _ = exec (gclint ^ " check --root lint_fixtures missing.ml") in
   Alcotest.(check int) "nonexistent path is a usage error" 2 code;
-  let code, _ = exec (gclint ^ " check --config no-such.toml") in
-  Alcotest.(check int) "unreadable config is a usage error" 2 code;
   let code, _ = exec (gclint ^ " check --root no-such-dir") in
   Alcotest.(check int) "nonexistent root is a usage error, not clean" 2 code
 
 (* ------------------------------------------------------- the self-check *)
 
 (* The repo's own tree must stay lint-clean: new debt either gets fixed
-   or carries an explicit [@lint.allow]/lint.toml entry with a
-   justification.  Tests run from _build/default/test, so the real
+   or carries an explicit [@lint.allow] with a justification.  Tests run from _build/default/test, so the real
    source tree is three levels up — found by locating the _build
    component rather than hard-coding the depth. *)
 let source_root () =
@@ -423,29 +406,18 @@ let test_self_check () =
   | None -> () (* not running under _build; nothing to check *)
   | Some root ->
       if not (Sys.file_exists (Filename.concat root "dune-project")) then ()
-      else begin
-        let config =
-          match Config.load ~known_rules:Rules.ids (Filename.concat root "lint.toml") with
-          | Ok c -> c
-          | Error e -> Alcotest.fail e
-        in
+      else
         Alcotest.(check (list string))
           "the repo lints clean (fix the finding or suppress it with a \
-           justified [@lint.allow] / lint.toml entry)"
+           justified [@lint.allow])"
           []
-          (List.map Finding.to_string (Engine.check_tree ~config ~root []))
-      end
+          (List.map Finding.to_string (Engine.check_tree ~root []))
 
 let () =
   Alcotest.run "lint"
     [
       ("fixtures", fixture_tests);
-      ( "suppression",
-        [
-          Alcotest.test_case "attributes" `Quick test_suppressed;
-          Alcotest.test_case "file-level" `Quick test_file_allow;
-          Alcotest.test_case "config-allow" `Quick test_config_allow_applies;
-        ] );
+      ("suppression", [ Alcotest.test_case "attributes" `Quick test_suppressed ]);
       ( "scoping",
         [
           Alcotest.test_case "bin-rule-in-lib" `Quick test_scope_bin_rule_in_lib;
@@ -456,11 +428,11 @@ let () =
             test_scope_endpoint_outside_lib;
           Alcotest.test_case "exec-exempt" `Quick test_scope_exec_exempt;
           Alcotest.test_case "retry-exempt" `Quick test_scope_retry_exempt;
-        ] );
-      ( "config",
-        [
-          Alcotest.test_case "glob" `Quick test_glob;
-          Alcotest.test_case "parse" `Quick test_config_parse;
+          Alcotest.test_case "spawn-write-in-test" `Quick test_scope_test_dir;
+          Alcotest.test_case "partial-in-test-bench" `Quick
+            test_scope_partial_test_bench;
+          Alcotest.test_case "discover-skips-fixtures" `Quick
+            test_discover_skips_fixtures;
         ] );
       ( "cli",
         [

@@ -244,22 +244,10 @@ let test_registry_json_roundtrip () =
 
 let ev_access index item = Event.Access { index; item }
 
-let test_ring_sink () =
-  let ring = Sink.Ring.create ~capacity:3 in
-  let s = Sink.Ring.sink ring in
-  List.iter (fun i -> s (ev_access i i)) [ 0; 1; 2; 3; 4 ];
-  Alcotest.(check int) "length capped" 3 (Sink.Ring.length ring);
-  Alcotest.(check int) "total counts drops" 5 (Sink.Ring.total ring);
-  Alcotest.(check (list int))
-    "keeps the most recent, oldest first" [ 2; 3; 4 ]
-    (List.map Event.index (Sink.Ring.contents ring));
-  Sink.Ring.clear ring;
-  Alcotest.(check int) "cleared" 0 (Sink.Ring.length ring)
-
 let test_count_sink_and_tee () =
   let counts = Sink.Count.create () in
-  let ring = Sink.Ring.create ~capacity:10 in
-  let s = Sink.tee [ Sink.Count.sink counts; Sink.Ring.sink ring; Sink.null ] in
+  let copy = Sink.Count.create () in
+  let s = Sink.tee [ Sink.Count.sink counts; Sink.Count.sink copy ] in
   s (ev_access 0 7);
   s (Event.Miss { index = 0; item = 7; cold = true; loaded = [ 7 ]; evicted = [] });
   s (Event.Load { index = 0; block = 1; width = 1 });
@@ -271,7 +259,9 @@ let test_count_sink_and_tee () =
   Alcotest.(check (list string))
     "by_kind covers every kind in order" Event.kind_names
     (List.map fst (Sink.Count.by_kind counts));
-  Alcotest.(check int) "tee delivered to the ring too" 5 (Sink.Ring.length ring)
+  Alcotest.(check (list (pair string int)))
+    "tee delivered every event to both sinks" (Sink.Count.by_kind counts)
+    (Sink.Count.by_kind copy)
 
 let test_jsonl_sink () =
   let path = Filename.temp_file "gc_obs_test" ".jsonl" in
@@ -501,7 +491,6 @@ let () =
         ] );
       ( "sinks",
         [
-          Alcotest.test_case "ring buffer" `Quick test_ring_sink;
           Alcotest.test_case "count and tee" `Quick test_count_sink_and_tee;
           Alcotest.test_case "jsonl writer" `Quick test_jsonl_sink;
         ] );
