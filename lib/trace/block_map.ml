@@ -53,6 +53,9 @@ let block_of t item =
           Hashtbl.add e.items_of_block blk [| item |];
           blk)
 
+let assigned t item =
+  match t with Uniform _ -> true | Explicit e -> Hashtbl.mem e.block_of_item item
+
 let items_of t block =
   match t with
   | Uniform b -> Array.init b (fun j -> (block * b) + j)

@@ -33,6 +33,12 @@ val block_size : t -> int
 val block_of : t -> int -> int
 (** [block_of t item] is the id of the block containing [item]. *)
 
+val assigned : t -> int -> bool
+(** Whether [item] already has a block: always for uniform maps and listed
+    items.  An unlisted item of an explicit map gets its fresh block on its
+    first {!block_of}, so [assigned] is how to ask whether an item can be
+    in a block without numbering one for it. *)
+
 val items_of : t -> int -> int array
 (** [items_of t block] lists the items of [block] in ascending order.
     For uniform maps this is the contiguous range of [B] items. *)
