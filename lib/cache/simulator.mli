@@ -13,6 +13,17 @@
 
     Violations raise {!Model_violation}.
 
+    {2 Cost}
+
+    The shadow cache is one byte per item: seen, loaded-unreferenced or
+    referenced, plus a mark bit the miss audit uses to find items loaded
+    twice.  The bytes are indexed by item id; ids too sparse for that
+    (spaced far beyond the number of distinct items) go to an int-keyed
+    table instead, so memory stays proportional to the distinct items.
+    With [check:false] and no probe, a hit allocates nothing and a miss
+    allocates nothing beyond the policy's own outcome; the test suite
+    counts both exactly.
+
     {2 Observability}
 
     Any policy becomes observable without modification by attaching a
