@@ -1,28 +1,37 @@
-type t = { mutable state : int64 }
+(* The splitmix64 counter lives in eight bytes rather than in a mutable
+   [int64] field, which would box a fresh value on every draw.  With the
+   draws inlined, a trace generator's loop allocates nothing per sample. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* splitmix64 finalizer: mix the counter into a well-distributed output. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] int64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
 let split t =
   (* Derive a seed from the parent stream, then re-mix with a distinct
      constant so parent and child sequences do not overlap. *)
   let s = int64 t in
-  { state = Int64.logxor s 0xA5A5A5A5A5A5A5A5L }
+  of_state (Int64.logxor s 0xA5A5A5A5A5A5A5A5L)
 
-let int t bound =
+let[@inline] int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let mask = Int64.of_int max_int in
   let v = Int64.to_int (Int64.logand (int64 t) mask) in
@@ -32,7 +41,7 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 uniform mantissa bits. *)
   let v = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
   float_of_int v /. 9007199254740992.0 *. bound
