@@ -2,20 +2,26 @@
 
     The one place in the tree that spawns domains: parameter sweeps (via
     {!Checkpoint}) and the server's requests both run here.  Every task
-    gets its own domain and {!Cancel.t} token, a monitor enforces per-task
-    wall-clock deadlines, {!Transient} failures retry through {!Retry}
-    with exponential backoff, and an interrupt token drains the pool
-    gracefully (in-flight tasks finish, pending ones settle as
-    {!Cancelled}).
+    gets its own {!Cancel.t} token and a worker domain to itself, a
+    monitor enforces per-task wall-clock deadlines, {!Transient} failures
+    retry through {!Retry} with exponential backoff, and an interrupt
+    token drains the pool gracefully (in-flight tasks finish, pending ones
+    settle as {!Cancelled}).
+
+    Worker domains outlive the [run] that started them: a domain whose
+    task has settled waits, idle, for the next task any [run] in the
+    process hands out, and a new domain is spawned only when no idle one
+    is left.  A process therefore keeps as many domains as it has ever
+    run tasks at once (plus the abandoned ones below).
 
     Deadline enforcement is two-tier.  At the deadline the task's token is
     requested with {!Cancel.deadline_reason}; a cooperative task (anything
     running under the {!Gc_cache.Simulator} progress hook) raises
     {!Cancel.Cancelled} at its next cancellation point and settles as
     {!Timed_out}.  A task that never reaches a cancellation point is
-    abandoned after a grace period — its domain is left running, never
-    joined, and reaped when the process exits — so one wedged cell cannot
-    hang the grid. *)
+    abandoned after a grace period — its domain is left running, serves
+    no other task until it finishes, and is reaped when the process
+    exits — so one wedged cell cannot hang the grid. *)
 
 exception Transient of string
 (** A retryable task failure: the only exception the pool retries. *)
@@ -31,7 +37,7 @@ type 'a outcome =
   | Cancelled  (** Interrupted before completion. *)
 
 type config = {
-  domains : int;  (** Max in-flight tasks (each on its own domain). *)
+  domains : int;  (** Max in-flight tasks (each on a domain of its own). *)
   deadline : float option;  (** Per-attempt wall-clock budget, seconds. *)
   grace : float;
       (** Extra seconds after the deadline before an uncooperative task is
@@ -63,7 +69,7 @@ val run :
   'a outcome list
 (** Execute the tasks, at most [config.domains] concurrently, returning
     outcomes in input order.  [on_start] runs on the calling domain just
-    before each task's domain is spawned, exposing the task's own cancel
+    before each task is handed to a worker domain, exposing the task's own cancel
     token so an external event can cancel one in-flight task without
     touching the rest — the serving layer requests it when the client that
     asked for the task disconnects.  [on_outcome] runs on the calling

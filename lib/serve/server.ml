@@ -379,7 +379,7 @@ let process t job ~wait_ns verdict =
                 ~on_start:(fun _ c ->
                   (* Publish the live token; if the disconnect already
                      happened, cancel immediately — the hook runs before the
-                     task's domain is spawned, so this cannot lose the
+                     task reaches a worker domain, so this cannot lose the
                      race. *)
                   Mutex.lock t.mu;
                   job.pool_cancel <- Some c;

@@ -373,6 +373,32 @@ let test_pool_deadline_abandons_wedged () =
   | [ Pool.Timed_out _; Pool.Done 7 ] -> ()
   | _ -> Alcotest.fail "wedged task not abandoned as Timed_out"
 
+(* A settled task's domain serves the next task: sequential one-task runs
+   share a domain (a spawn per run would give each a new id), and a domain
+   held by a wedged task is never handed another. *)
+let test_pool_reuses_domains () =
+  let on_domain () =
+    match Pool.run ~config:(quick_config ~domains:1 ()) [ (fun ~cancel:_ -> (Domain.self () :> int)) ] with
+    | [ Pool.Done d ] -> d
+    | _ -> Alcotest.fail "one-task run did not complete"
+  in
+  let ids = List.sort_uniq compare (List.init 20 (fun _ -> on_domain ())) in
+  if List.length ids > 2 then
+    Alcotest.failf "20 sequential runs used %d domains" (List.length ids);
+  let release = Atomic.make false and held = Atomic.make (-1) in
+  let wedged ~cancel:_ =
+    Atomic.set held (Domain.self () :> int);
+    while not (Atomic.get release) do
+      Domain.cpu_relax ()
+    done
+  in
+  (match Pool.run ~config:(quick_config ~deadline:0.05 ~domains:1 ()) [ wedged ] with
+  | [ Pool.Timed_out _ ] -> ()
+  | _ -> Alcotest.fail "wedged task not abandoned as Timed_out");
+  let next = on_domain () in
+  Atomic.set release true;
+  Alcotest.(check bool) "the wedged task's domain is not reused" true (next <> Atomic.get held)
+
 let test_pool_interrupt_drains () =
   let interrupt = Cancel.create () in
   let first_running = Atomic.make false in
@@ -706,6 +732,8 @@ let () =
             test_pool_deadline_cooperative;
           Alcotest.test_case "wedged task abandoned" `Quick
             test_pool_deadline_abandons_wedged;
+          Alcotest.test_case "settled task's domain reused" `Quick
+            test_pool_reuses_domains;
           Alcotest.test_case "interrupt drains" `Quick
             test_pool_interrupt_drains;
         ] );
