@@ -718,7 +718,7 @@ let randomized () =
         let s =
           Replicates.misses
             ~make:(fun ~seed ->
-              Gcm.create ~load_limit:m ~k:512
+              Marking.gcm ~load_limit:m ~k:512
                 ~blocks:trace.Trace.blocks ~rng:(Rng.create seed) ())
             ~trace ~seeds:[ 1; 2; 3; 4; 5 ]
         in
