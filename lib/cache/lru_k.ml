@@ -2,7 +2,6 @@ module P = struct
   type t = {
     k : int;
     depth : int;
-    history_cap : int;
     cached : (int, unit) Hashtbl.t;
     (* Reference timestamps per item, most recent first, length <= depth. *)
     refs : (int, int list) Hashtbl.t;
@@ -54,8 +53,9 @@ module P = struct
       t.cached;
     match !best with Some (_, x) -> x | None -> assert false
 
+  (* Evicted items keep their history while among the last [k] evicted. *)
   let forget_ghosts t =
-    while Lru_core.size t.ghost > t.history_cap do
+    while Lru_core.size t.ghost > t.k do
       match Lru_core.pop_lru t.ghost with
       | Some v -> Hashtbl.remove t.refs v
       | None -> assert false
@@ -79,16 +79,14 @@ module P = struct
     end
 end
 
-let create ?history ~k ~depth () =
+let create ~k ~depth =
   if k < 1 then invalid_arg "Lru_k.create: k must be >= 1";
   if depth < 1 then invalid_arg "Lru_k.create: depth must be >= 1";
-  let history_cap = Option.value ~default:k history in
   Policy.Instance
     ( (module P),
       {
         P.k;
         depth;
-        history_cap;
         cached = Hashtbl.create 256;
         refs = Hashtbl.create 512;
         ghost = Lru_core.create ();

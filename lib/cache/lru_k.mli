@@ -6,7 +6,7 @@
     classic scan-resistant configuration.  Another spatially blind Item
     Cache for the Theorem-2 experiments. *)
 
-val create : ?history:int -> k:int -> depth:int -> unit -> Policy.t
-(** [depth] is the K of LRU-K ([>= 1]).  [history] bounds the reference
-    history retained for evicted items (default [k]); re-references within
-    the window keep their counts. *)
+val create : k:int -> depth:int -> Policy.t
+(** [depth] is the K of LRU-K ([>= 1]).  The reference history of the
+    last [k] evicted items is retained; re-references within that window
+    keep their counts. *)

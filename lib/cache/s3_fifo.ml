@@ -84,16 +84,13 @@ module P = struct
     end
 end
 
-let create ?(small_fraction = 0.1) ~k () =
+let create ~k =
   if k < 2 then invalid_arg "S3_fifo.create: k must be >= 2";
-  if small_fraction <= 0. || small_fraction >= 1. then
-    invalid_arg "S3_fifo.create: small_fraction must be in (0, 1)";
-  let small_cap = max 1 (int_of_float (small_fraction *. float_of_int k)) in
   Policy.Instance
     ( (module P),
       {
         P.k;
-        small_cap;
+        small_cap = max 1 (k / 10);
         small = Lru_core.create ();
         main = Lru_core.create ();
         ghost = Lru_core.create ();

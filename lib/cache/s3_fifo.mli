@@ -7,6 +7,6 @@
     simple, scan-resistant baseline — and, like every Item Cache, subject
     to Theorem 2 unchanged. *)
 
-val create : ?small_fraction:float -> k:int -> unit -> Policy.t
-(** [small_fraction] of [k] goes to the small queue (default 0.1,
-    at least one slot).  [k >= 2]. *)
+val create : k:int -> Policy.t
+(** A tenth of [k] goes to the small queue (at least one slot).
+    [k >= 2]. *)

@@ -54,18 +54,14 @@ module P = struct
     end
 end
 
-let create ?(in_fraction = 0.25) ?(out_fraction = 0.5) ~k () =
+let create ~k =
   if k < 2 then invalid_arg "Two_q.create: k must be >= 2";
-  if in_fraction <= 0. || in_fraction >= 1. then
-    invalid_arg "Two_q.create: in_fraction must be in (0, 1)";
-  let in_cap = max 1 (int_of_float (in_fraction *. float_of_int k)) in
-  let out_cap = max 1 (int_of_float (out_fraction *. float_of_int k)) in
   Policy.Instance
     ( (module P),
       {
         P.k;
-        in_cap;
-        out_cap;
+        in_cap = max 1 (k / 4);
+        out_cap = max 1 (k / 2);
         a1in = Lru_core.create ();
         a1out = Lru_core.create ();
         am = Lru_core.create ();

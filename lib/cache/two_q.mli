@@ -4,6 +4,6 @@
     referenced after leaving it (tracked by the ghost queue [A1out]) enter
     the main LRU [Am].  Another spatially blind Item Cache baseline. *)
 
-val create : ?in_fraction:float -> ?out_fraction:float -> k:int -> unit -> Policy.t
-(** [in_fraction] of [k] goes to A1in (default 0.25); the ghost A1out
-    remembers [out_fraction * k] keys (default 0.5).  [k >= 2]. *)
+val create : k:int -> Policy.t
+(** A quarter of [k] goes to A1in; the ghost A1out remembers [k / 2] keys
+    (each at least one).  [k >= 2]. *)
