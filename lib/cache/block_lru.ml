@@ -19,11 +19,8 @@ module P = struct
   let name = "block-lru"
   let k t = t.k
 
-  (* [assigned] first: asking for an unlisted item's block would number a
-     fresh one, shifting the ids every later block gets. *)
   let mem t item =
-    Gc_trace.Block_map.assigned t.blocks item
-    && Lru_core.mem t.recency (Gc_trace.Block_map.block_of t.blocks item)
+    Lru_core.mem t.recency (Gc_trace.Block_map.block_of t.blocks item)
 
   let occupancy t = t.occ
 

@@ -24,20 +24,16 @@ val singleton : t
 val of_blocks : int array list -> t
 (** [of_blocks bs] builds an explicit partition where the [j]-th array lists
     the items of block [j].  Raises [Invalid_argument] if any item appears
-    twice or any block is empty.  Items not listed are implicitly assigned
-    fresh singleton blocks when queried. *)
+    twice or any block is empty.  An item not listed is alone in a block of
+    its own, whose id depends only on the item: [List.length bs + item], or
+    [item] if it is negative.  The map never changes after it is built,
+    so queries on it may run in parallel. *)
 
 val block_size : t -> int
 (** Upper bound [B] on the number of items per block. *)
 
 val block_of : t -> int -> int
 (** [block_of t item] is the id of the block containing [item]. *)
-
-val assigned : t -> int -> bool
-(** Whether [item] already has a block: always for uniform maps and listed
-    items.  An unlisted item of an explicit map gets its fresh block on its
-    first {!block_of}, so [assigned] is how to ask whether an item can be
-    in a block without numbering one for it. *)
 
 val items_of : t -> int -> int array
 (** [items_of t block] lists the items of [block] in ascending order.

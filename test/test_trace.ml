@@ -117,10 +117,28 @@ let test_explicit_block_map () =
   Alcotest.(check int) "block of 7" 1 (Block_map.block_of m 7);
   Alcotest.(check (array int)) "items sorted" [| 1; 3 |] (Block_map.items_of m 0);
   Alcotest.(check bool) "not uniform" false (Block_map.is_uniform m);
-  (* Unlisted items get stable fresh singleton blocks. *)
+  (* Unlisted items get stable singleton blocks. *)
   let b99 = Block_map.block_of m 99 in
   Alcotest.(check int) "stable" b99 (Block_map.block_of m 99);
   Alcotest.(check (array int)) "singleton" [| 99 |] (Block_map.items_of m b99)
+
+(* An unlisted item's block id depends on the item alone: neither an
+   earlier query nor a policy's [mem] on another unlisted item moves it. *)
+let test_explicit_ids_fixed () =
+  let map () = Block_map.of_blocks [ [| 0; 1 |]; [| 2; 3 |] ] in
+  let fresh = Block_map.block_of (map ()) 100 in
+  let m = map () in
+  ignore (Block_map.block_of m 50);
+  Alcotest.(check int) "after block_of 50" fresh (Block_map.block_of m 100);
+  List.iter
+    (fun name ->
+      let m = map () in
+      let p = Gc_cache.Registry.make name ~k:8 ~blocks:m ~seed:1 in
+      ignore (Gc_cache.Policy.mem p 50);
+      Alcotest.(check int) (name ^ ": after mem 50") fresh (Block_map.block_of m 100))
+    Gc_cache.Registry.names;
+  Alcotest.(check (array int)) "alone in its block" [| 100 |]
+    (Block_map.items_of (map ()) fresh)
 
 let test_explicit_rejects_duplicates () =
   Alcotest.check_raises "duplicate item"
@@ -645,6 +663,7 @@ let () =
           Alcotest.test_case "singleton" `Quick test_singleton_block_map;
           Alcotest.test_case "explicit" `Quick test_explicit_block_map;
           Alcotest.test_case "rejects bad input" `Quick test_explicit_rejects_duplicates;
+          Alcotest.test_case "unlisted ids are fixed" `Quick test_explicit_ids_fixed;
         ] );
       ( "trace",
         [
