@@ -60,6 +60,22 @@ end
 
 (* -------------------------------------------------------------- encoding *)
 
+(* An explicit map is written as the blocks the trace references, each as
+   its items, in order of first reference. *)
+let referenced_blocks (t : Trace.t) =
+  let blocks = t.Trace.blocks in
+  let seen = Hashtbl.create 64 in
+  let order = ref [] in
+  Trace.iter
+    (fun r ->
+      let b = Block_map.block_of blocks r in
+      if not (Hashtbl.mem seen b) then begin
+        Hashtbl.add seen b ();
+        order := Block_map.items_of blocks b :: !order
+      end)
+    t;
+  List.rev !order
+
 let to_buffer buf (t : Trace.t) =
   Buffer.add_string buf "gctrace 1\n";
   let blocks = t.Trace.blocks in
@@ -67,32 +83,20 @@ let to_buffer buf (t : Trace.t) =
     Buffer.add_string buf
       (Printf.sprintf "blocks uniform %d\n" (Block_map.block_size blocks))
   else begin
-    (* Collect the blocks actually referenced by the trace. *)
-    let seen = Hashtbl.create 64 in
-    let order = ref [] in
-    Trace.iter
-      (fun r ->
-        let b = Block_map.block_of blocks r in
-        if not (Hashtbl.mem seen b) then begin
-          Hashtbl.add seen b ();
-          order := b :: !order
-        end)
-      t;
-    let block_ids = List.rev !order in
+    let listed = referenced_blocks t in
     Buffer.add_string buf
       (Printf.sprintf "blocks explicit %d %d\n"
          (Block_map.block_size blocks)
-         (List.length block_ids));
+         (List.length listed));
     List.iter
-      (fun b ->
-        let items = Block_map.items_of blocks b in
+      (fun items ->
         Array.iteri
           (fun i item ->
             if i > 0 then Buffer.add_char buf ' ';
             Buffer.add_string buf (string_of_int item))
           items;
         Buffer.add_char buf '\n')
-      block_ids
+      listed
   end;
   Buffer.add_string buf (Printf.sprintf "requests %d\n" (Trace.length t));
   Trace.iteri
@@ -395,24 +399,13 @@ let to_bytes (t : Trace.t) =
   else begin
     Buffer.add_char buf '\001';
     add_varint buf (Block_map.block_size blocks);
-    let seen = Hashtbl.create 64 in
-    let order = ref [] in
-    Trace.iter
-      (fun r ->
-        let b = Block_map.block_of blocks r in
-        if not (Hashtbl.mem seen b) then begin
-          Hashtbl.add seen b ();
-          order := b :: !order
-        end)
-      t;
-    let block_ids = List.rev !order in
-    add_varint buf (List.length block_ids);
+    let listed = referenced_blocks t in
+    add_varint buf (List.length listed);
     List.iter
-      (fun b ->
-        let items = Block_map.items_of blocks b in
+      (fun items ->
         add_varint buf (Array.length items);
         Array.iter (add_varint buf) items)
-      block_ids
+      listed
   end;
   add_varint buf (Trace.length t);
   let prev = ref 0 in
