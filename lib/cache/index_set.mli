@@ -1,6 +1,6 @@
 (** A set of ints with O(1) add, remove, membership, and uniform random
-    choice — the standard array + position-table structure.  Used by every
-    randomized policy (random eviction, marking, GCM). *)
+    choice — the standard array + position-table structure.  Used by
+    {!Random_evict}, {!Fwf} and {!Marking} (marking, block marking, GCM). *)
 
 type t
 
