@@ -91,7 +91,7 @@ let figure1 () =
      cache loads exactly {A1, A2} of block {A1, A2, A3}. *)
   let blocks = Block_map.of_blocks [ [| 1; 2; 3 |] ] in
   let trace = Trace.of_list blocks [ 1; 2 ] in
-  let policy = Gc_offline.Clairvoyant.create ~k:2 trace in
+  let policy = Gc_offline.Belady.clairvoyant ~k:2 trace in
   ignore
     (Simulator.run_with
        ~f:(fun pos item outcome ->
@@ -352,7 +352,7 @@ let figure5 () =
      paper's mini-trace (block A spatially, item B1 temporally). *)
   let fig_blocks = Block_map.of_blocks [ [| 1; 2; 3 |]; [| 10; 11; 12 |] ] in
   let fig_trace = Trace.of_list fig_blocks [ 1; 10; 2; 10; 3; 10; 1; 2; 3 ] in
-  let clair = Gc_offline.Clairvoyant.create ~k:4 fig_trace in
+  let clair = Gc_offline.Belady.clairvoyant ~k:4 fig_trace in
   let sched, _ = Gc_offline.Schedule.record clair fig_trace in
   (match Gc_offline.Schedule.check fig_trace ~capacity:4 sched with
   | Ok cost ->
@@ -498,7 +498,7 @@ let empirical_figure3 () =
 
 let certified name c ~h =
   let measured = Adversary.measured_ratio c in
-  let clair = Gc_offline.Clairvoyant.cost ~k:h c.Adversary.trace in
+  let clair = Gc_offline.Belady.(cost clairvoyant ~k:h c.Adversary.trace) in
   let claimed = c.Adversary.opt_misses + c.Adversary.warmup_opt_misses in
   Format.printf
     "%-26s measured %8.3f   bound %8.3f   (OPT claimed %d, certified %d)@."
@@ -590,7 +590,7 @@ let empirical_fault_rate () =
   let r = Thm8.run lru_ref ~k ~f_inv ~g ~block_size ~phases:10 in
   Format.printf "  %-12s fault rate %8.4f  (offline: the floor does not bind)@."
     "clairvoyant"
-    (float_of_int (Gc_offline.Clairvoyant.cost ~k r.Thm8.trace)
+    (float_of_int (Gc_offline.Belady.(cost clairvoyant ~k r.Thm8.trace))
     /. float_of_int r.Thm8.accesses);
   (* Part 2: measured IBLP fault rates vs the Theorem-11 upper bound, on
      power-law traces of varying spatial locality. *)

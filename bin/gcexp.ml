@@ -129,13 +129,13 @@ let miss_curve policies k_min k_max steps offline seed domains deadline retries
                ( { cell_policy = "belady"; cell_k = k },
                  ( Printf.sprintf "belady@k=%d" k,
                    fun ~cancel:_ ->
-                     offline_row "belady" k (Gc_offline.Belady.cost ~k trace) )
+                     offline_row "belady" k (Gc_offline.Belady.(cost create ~k trace)) )
                );
                ( { cell_policy = "clairvoyant"; cell_k = k },
                  ( Printf.sprintf "clairvoyant@k=%d" k,
                    fun ~cancel:_ ->
                      offline_row "clairvoyant" k
-                       (Gc_offline.Clairvoyant.cost ~k trace) ) );
+                       (Gc_offline.Belady.(cost clairvoyant ~k trace)) ) );
              ]
            else [])
          grid)

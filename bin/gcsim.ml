@@ -100,13 +100,13 @@ let run policies all k seed offline no_check inject json events histograms path
   let results = List.filter_map Result.to_option outcomes in
   if offline then begin
     Format.printf "%-14s misses=%d@." "belady"
-      (Gc_offline.Belady.cost ~k trace);
+      (Gc_offline.Belady.(cost create ~k trace));
     let bsize = Gc_trace.Block_map.block_size blocks in
     if k >= bsize then
       Format.printf "%-14s misses=%d@." "block-belady"
-        (Gc_offline.Block_belady.cost ~k trace);
+        (Gc_offline.Belady.(cost block ~k trace));
     Format.printf "%-14s misses=%d@." "clairvoyant"
-      (Gc_offline.Clairvoyant.cost ~k trace)
+      (Gc_offline.Belady.(cost clairvoyant ~k trace))
   end;
   (* Histograms on a terminal run, when they are not already going to a
      manifest. *)
@@ -393,7 +393,7 @@ let attack construction policy k h block_size cycles seed certify =
   Format.printf "theorem bound:  %.3f@." c.bound;
   List.iter (fun (key, v) -> Format.printf "%s = %g@." key v) c.info;
   if certify then begin
-    let cost = Gc_offline.Clairvoyant.cost ~k:h c.trace in
+    let cost = Gc_offline.Belady.(cost clairvoyant ~k:h c.trace) in
     let claimed = c.opt_misses + c.warmup_opt_misses in
     Format.printf
       "certification: clairvoyant(h) schedule costs %d vs %d claimed%s@." cost

@@ -9,7 +9,7 @@ open Gc_cache
 
 let print_result name c ~h =
   let measured = Adversary.measured_ratio c in
-  let clair = Gc_offline.Clairvoyant.cost ~k:h c.Adversary.trace in
+  let clair = Gc_offline.Belady.(cost clairvoyant ~k:h c.Adversary.trace) in
   let claimed = c.Adversary.opt_misses + c.Adversary.warmup_opt_misses in
   Format.printf
     "%-28s measured ratio %7.2f   bound %7.2f   OPT claimed %d / certified %d@."

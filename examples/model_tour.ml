@@ -14,7 +14,7 @@ let () =
   heading "The model (Definition 1, Figure 1)";
   let blocks = Block_map.of_blocks [ [| 1; 2; 3 |] ] in
   let trace = Trace.of_list blocks [ 1; 2 ] in
-  let clairvoyant = Gc_offline.Clairvoyant.create ~k:2 trace in
+  let clairvoyant = Gc_offline.Belady.clairvoyant ~k:2 trace in
   ignore
     (Simulator.run_with
        ~f:(fun pos item outcome ->

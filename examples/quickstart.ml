@@ -38,12 +38,12 @@ let () =
 
   (* Offline references: what a clairvoyant cache could have done. *)
   Format.printf "@.%-12s %10d   (optimal item-granularity cache)@." "belady"
-    (Gc_offline.Belady.cost ~k trace);
+    (Gc_offline.Belady.(cost create ~k trace));
   Format.printf "%-12s %10d   (optimal block-granularity cache)@."
     "block-belady"
-    (Gc_offline.Block_belady.cost ~k trace);
+    (Gc_offline.Belady.(cost block ~k trace));
   Format.printf "%-12s %10d   (GC-aware clairvoyant heuristic)@." "clairvoyant"
-    (Gc_offline.Clairvoyant.cost ~k trace);
+    (Gc_offline.Belady.(cost clairvoyant ~k trace));
 
   (* What does the theory say? IBLP's competitive ratio against an offline
      cache 8x smaller, at the optimal layer split: *)

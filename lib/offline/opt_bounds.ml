@@ -31,7 +31,7 @@ let best_window_bound trace ~h =
   !best
 
 let ratio_interval ~online trace ~h =
-  let upper_opt = Clairvoyant.cost ~k:h trace in
+  let upper_opt = Belady.(cost clairvoyant ~k:h trace) in
   let lower_opt = best_window_bound trace ~h in
   let lo =
     if upper_opt = 0 then infinity

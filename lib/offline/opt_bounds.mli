@@ -2,8 +2,8 @@
     {!Exact_gc}.
 
     Together with a feasible schedule's cost (an upper bound, e.g. from
-    {!Clairvoyant}), these bracket OPT and let competitive ratios be bounded
-    on arbitrary traces: for online cost [c],
+    {!Belady.clairvoyant}), these bracket OPT and let competitive ratios be
+    bounded on arbitrary traces: for online cost [c],
     [c / upper <= c / OPT <= c / lower]. *)
 
 val compulsory : Gc_trace.Trace.t -> int

@@ -628,7 +628,7 @@ let qcheck_fwf_at_most_k_plus_one_phases =
          length. *)
       let misses = Test_util.run_misses (Fwf.create ~k) trace in
       misses <= Array.length reqs
-      && misses >= Gc_offline.Belady.cost ~k trace)
+      && misses >= Gc_offline.Belady.(cost create ~k trace))
 
 (* ------------------------------------------------------------- Replicates *)
 

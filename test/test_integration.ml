@@ -45,9 +45,9 @@ let test_offline_dominates_online () =
   List.iter
     (fun (wname, trace) ->
       let k = 256 in
-      let belady = Gc_offline.Belady.cost ~k trace in
-      let block_belady = Gc_offline.Block_belady.cost ~k trace in
-      let clairvoyant = Gc_offline.Clairvoyant.cost ~k trace in
+      let belady = Gc_offline.Belady.(cost create ~k trace) in
+      let block_belady = Gc_offline.Belady.(cost block ~k trace) in
+      let clairvoyant = Gc_offline.Belady.(cost clairvoyant ~k trace) in
       (* Belady optimal among item caches. *)
       List.iter
         (fun name ->

@@ -43,7 +43,7 @@ let qcheck_belady_beats_online_item_policies =
     (QCheck.pair (Test_util.small_trace_arbitrary ()) QCheck.(int_range 1 6))
     (fun ((bs, reqs), k) ->
       let trace = Test_util.trace_of (bs, reqs) in
-      let opt = Belady.cost ~k trace in
+      let opt = Belady.(cost create ~k trace) in
       List.for_all
         (fun make ->
           opt <= Test_util.run_misses (make ()) trace)
@@ -62,7 +62,7 @@ let qcheck_belady_equals_exact_when_b1 =
        QCheck.(int_range 1 5))
     (fun ((_, reqs), k) ->
       let trace = Test_util.trace_of (1, reqs) in
-      Belady.cost ~k trace = Exact_gc.solve ~k trace)
+      Belady.(cost create ~k trace) = Exact_gc.solve ~k trace)
 
 let test_belady_wrong_trace_rejected () =
   let trace = Test_util.trace_of (1, [| 1; 2; 3 |]) in
@@ -72,7 +72,7 @@ let test_belady_wrong_trace_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted out-of-order request"
 
-(* --------------------------------------------------------- Block_belady *)
+(* --------------------------------------------------------- Belady.block *)
 
 let qcheck_block_belady_beats_block_lru =
   Test_util.qcheck ~count:200 "Block-Belady <= Block-LRU"
@@ -80,7 +80,7 @@ let qcheck_block_belady_beats_block_lru =
     (fun ((bs, reqs), kb) ->
       let k = kb * bs in
       let trace = Test_util.trace_of (bs, reqs) in
-      Block_belady.cost ~k trace
+      Belady.(cost block ~k trace)
       <= Test_util.run_misses
            (Gc_cache.Block_lru.create ~k ~blocks:trace.Trace.blocks)
            trace)
@@ -88,9 +88,9 @@ let qcheck_block_belady_beats_block_lru =
 let test_block_belady_scan () =
   (* Scanning blocks sequentially: exactly one miss per block visit. *)
   let trace = Generators.block_scan ~n_blocks:6 ~repeats:2 ~block_size:4 in
-  Alcotest.(check int) "one miss per block" 6 (Block_belady.cost ~k:8 trace)
+  Alcotest.(check int) "one miss per block" 6 (Belady.(cost block ~k:8 trace))
 
-(* ----------------------------------------------------------- Clairvoyant *)
+(* ---------------------------------------------------- Belady.clairvoyant *)
 
 let qcheck_exact_at_most_clairvoyant =
   Test_util.qcheck ~count:120 "exact <= clairvoyant <= belady"
@@ -100,20 +100,20 @@ let qcheck_exact_at_most_clairvoyant =
     (fun ((bs, reqs), k) ->
       let trace = Test_util.trace_of (bs, reqs) in
       let exact = Exact_gc.solve ~k trace in
-      let clair = Clairvoyant.cost ~k trace in
-      exact <= clair && clair <= Belady.cost ~k trace)
+      let clair = Belady.(cost clairvoyant ~k trace) in
+      exact <= clair && clair <= Belady.(cost create ~k trace))
 
 let test_clairvoyant_loads_useful_siblings () =
   (* 0,1,2,3 all used soon: the first miss should take the whole block. *)
   let trace = Test_util.trace_of (4, [| 0; 1; 2; 3 |]) in
-  Alcotest.(check int) "one miss" 1 (Clairvoyant.cost ~k:8 trace)
+  Alcotest.(check int) "one miss" 1 (Belady.(cost clairvoyant ~k:8 trace))
 
 let test_clairvoyant_skips_useless_siblings () =
   (* Siblings never reused: loading them would evict the useful item 9. *)
   let trace = Test_util.trace_of (4, [| 9; 0; 9 |]) in
   (* k = 2: after 9 and 0 the cache is full; clairvoyant must not load 0's
      siblings over 9. *)
-  Alcotest.(check int) "keeps the useful item" 2 (Clairvoyant.cost ~k:2 trace)
+  Alcotest.(check int) "keeps the useful item" 2 (Belady.(cost clairvoyant ~k:2 trace))
 
 let test_clairvoyant_gap_statistics () =
   (* Offline GC caching is NP-complete, so the clairvoyant heuristic cannot
@@ -131,7 +131,7 @@ let test_clairvoyant_gap_statistics () =
     let trace = Trace.make (Block_map.uniform ~block_size:bs) requests in
     let k = max bs (1 + Rng.int rng 5) in
     let exact = Exact_gc.solve ~k trace in
-    let clair = Clairvoyant.cost ~k trace in
+    let clair = Belady.(cost clairvoyant ~k trace) in
     total_exact := !total_exact + exact;
     total_clair := !total_clair + clair;
     if exact > 0 then
@@ -350,7 +350,7 @@ let test_belady_known_value () =
   let trace = Generators.sequential ~n:50 ~universe:(k + 1) ~block_size:1 in
   let lru = Test_util.run_misses (Gc_cache.Lru.create ~k) trace in
   Alcotest.(check int) "lru thrashes" 50 lru;
-  let belady = Belady.cost ~k trace in
+  let belady = Belady.(cost create ~k trace) in
   (* Belady misses 5 cold + roughly one per k-1 thereafter. *)
   Alcotest.(check bool)
     (Printf.sprintf "belady %d ~ %d" belady (5 + ((50 - 5) / k)))
@@ -368,7 +368,7 @@ let qcheck_opt_bounds_bracket_exact =
       let trace = Test_util.trace_of (bs, reqs) in
       let exact = Exact_gc.solve ~k:h trace in
       Opt_bounds.best_window_bound trace ~h <= exact
-      && exact <= Clairvoyant.cost ~k:h trace)
+      && exact <= Belady.(cost clairvoyant ~k:h trace))
 
 let test_opt_bounds_compulsory () =
   let trace = Test_util.trace_of (2, [| 0; 2; 4; 0; 2; 4 |]) in
@@ -398,7 +398,7 @@ let test_certify_thm2_opt () =
   let lru = Gc_cache.Lru.create ~k in
   let c = Gc_cache.Attack.item_cache lru ~k ~h ~block_size ~cycles:12 in
   let claimed = c.Adversary.opt_misses + c.Adversary.warmup_opt_misses in
-  let clair = Clairvoyant.cost ~k:h c.Adversary.trace in
+  let clair = Belady.(cost clairvoyant ~k:h c.Adversary.trace) in
   (* The clairvoyant heuristic is a real size-h schedule; it should land
      within a small factor of the proof's claimed OPT cost. *)
   Alcotest.(check bool)
@@ -408,7 +408,7 @@ let test_certify_thm2_opt () =
   (* And the claimed cost can never beat the true optimum: on this size we
      cannot run Exact_gc, but clairvoyant also upper-bounds OPT, giving a
      machine-checked certificate for the measured ratio's denominator. *)
-  let sched, _ = Schedule.record (Clairvoyant.create ~k:h c.Adversary.trace) c.Adversary.trace in
+  let sched, _ = Schedule.record (Belady.clairvoyant ~k:h c.Adversary.trace) c.Adversary.trace in
   match Schedule.check c.Adversary.trace ~capacity:h sched with
   | Ok misses -> Alcotest.(check int) "schedule cost" clair misses
   | Error e -> Alcotest.failf "clairvoyant schedule invalid: %s" e
@@ -418,7 +418,7 @@ let test_certify_thm3_opt () =
   let bl = Gc_cache.Block_lru.create ~k ~blocks:(Block_map.uniform ~block_size) in
   let c = Gc_cache.Attack.block_cache bl ~k ~h ~block_size ~cycles:12 in
   let claimed = c.Adversary.opt_misses + c.Adversary.warmup_opt_misses in
-  let clair = Clairvoyant.cost ~k:h c.Adversary.trace in
+  let clair = Belady.(cost clairvoyant ~k:h c.Adversary.trace) in
   Alcotest.(check bool) "certified" true
     (float_of_int clair <= 1.25 *. float_of_int claimed)
 

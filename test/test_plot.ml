@@ -91,7 +91,7 @@ let test_multiple_series () =
 let test_occupancy_render () =
   let blocks = Gc_trace.Block_map.uniform ~block_size:2 in
   let trace = Gc_trace.Trace.of_list blocks [ 0; 1; 0 ] in
-  let policy = Gc_offline.Clairvoyant.create ~k:2 trace in
+  let policy = Gc_offline.Belady.clairvoyant ~k:2 trace in
   let sched, _ = Gc_offline.Schedule.record policy trace in
   let chart = Occupancy.render ~trace ~schedule:sched () in
   (* One miss (whole block loaded), then hits. *)
@@ -112,7 +112,7 @@ let test_occupancy_matches_misses () =
   let trace =
     Gc_trace.Generators.sequential ~n:24 ~universe:12 ~block_size:3
   in
-  let policy = Gc_offline.Clairvoyant.create ~k:6 trace in
+  let policy = Gc_offline.Belady.clairvoyant ~k:6 trace in
   let sched, metrics = Gc_offline.Schedule.record policy trace in
   let chart = Occupancy.render ~trace ~schedule:sched () in
   let stars =
