@@ -63,7 +63,9 @@ let max_item t = Array.fold_left max (-1) t.requests
 
 (* FNV-1a (64-bit) over the block size, the length, and each request with
    its block id.  Covers everything that affects a simulation: the same
-   requests under a different partition digest differently. *)
+   requests under a different partition digest differently.  An explicit
+   map is digested as its file round trip reads it: blocks numbered in
+   order of first reference, and the widest referenced block as B. *)
 let digest t =
   let prime = 0x100000001B3L in
   let h = ref 0xCBF29CE484222325L in
@@ -76,12 +78,28 @@ let digest t =
       v := Int64.shift_right_logical !v 8
     done
   in
-  mix (Block_map.block_size t.blocks);
+  let b, block_id =
+    if Block_map.is_uniform t.blocks then
+      (Block_map.block_size t.blocks, Block_map.block_of t.blocks)
+    else begin
+      let ordinal = Hashtbl.create 64 and widest = ref 1 in
+      Array.iter
+        (fun r ->
+          let blk = Block_map.block_of t.blocks r in
+          if not (Hashtbl.mem ordinal blk) then begin
+            Hashtbl.add ordinal blk (Hashtbl.length ordinal);
+            widest := max !widest (Array.length (Block_map.items_of t.blocks blk))
+          end)
+        t.requests;
+      (!widest, fun r -> Hashtbl.find ordinal (Block_map.block_of t.blocks r))
+    end
+  in
+  mix b;
   mix (Array.length t.requests);
   Array.iter
     (fun r ->
       mix r;
-      mix (Block_map.block_of t.blocks r))
+      mix (block_id r))
     t.requests;
   Printf.sprintf "fnv1a64:%016Lx" !h
 

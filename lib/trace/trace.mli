@@ -50,8 +50,9 @@ val max_item : t -> int
 val digest : t -> string
 (** Content digest ([fnv1a64:] plus 16 hex digits) over the requests and
     their block assignment, for identifying traces in run manifests.
-    Simulation-equivalent traces digest equal; unequal ones collide only
-    with hash probability. *)
+    Simulation-equivalent traces digest equal, so a trace and its
+    {!Trace_io} round trip do; unequal ones collide only with hash
+    probability. *)
 
 val pp : Format.formatter -> t -> unit
 (** Short human-readable summary (length, universe sizes, block size). *)
