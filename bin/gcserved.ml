@@ -303,8 +303,8 @@ let supervise socket tcp tcp_host server_exe child_args supervision seed =
   let config =
     {
       base with
-      Gc_resil.Supervise.socket_path;
-      seed = Option.value seed ~default:base.Gc_resil.Supervise.seed;
+      Gc_resil.Supervise.seed =
+        Option.value seed ~default:base.Gc_resil.Supervise.seed;
     }
   in
   Printf.eprintf "gcserved: supervising %s\n%!"
@@ -374,10 +374,9 @@ let fleet socket replicas server_exe child_args supervision seed manifest =
          (Gc_resil.Supervise.default_config ~argv
             ~health_addr:(Gc_serve.Client.Unix_path sock)))
       with
-      Gc_resil.Supervise.socket_path = Some sock;
       (* Distinct seeds: backoff jitter must never synchronize restarts
          across the set. *)
-      seed = base_seed + i;
+      Gc_resil.Supervise.seed = base_seed + i;
     }
   in
   let configs = Array.init replicas config in

@@ -31,6 +31,6 @@ val run :
   Supervise.config array ->
   outcome
 (** Blocks as described above.  Raises [Invalid_argument] on an empty
-    config array.  Each config should carry its own [socket_path] /
+    config array.  Each config should carry its own child socket and
     [health_addr] (see {!replica_socket}) and ideally its own [seed] so
     backoff jitter never synchronizes across the set. *)

@@ -7,7 +7,6 @@ module Json = Gc_obs.Json
 
 type config = {
   argv : string array;
-  socket_path : string option;
   health_addr : Client.addr;
   health_interval : float;
   health_timeout : float;
@@ -24,10 +23,6 @@ type config = {
 let default_config ~argv ~health_addr =
   {
     argv;
-    socket_path =
-      (match health_addr with
-      | Client.Unix_path p -> Some p
-      | Client.Tcp _ -> None);
     health_addr;
     health_interval = 0.25;
     health_timeout = 2.;
@@ -67,26 +62,6 @@ type outcome = {
   result : [ `Drained | `Gave_up ];
   restarts : int;
 }
-
-(* The same probe-and-replace the server's own bind runs: a socket file
-   nothing answers on is debris from the dead child; one something
-   answers on is left for the child's bind to refuse (which the restart
-   budget then turns into a give-up instead of a flap). *)
-let clear_stale_socket = function
-  | None -> ()
-  | Some path -> (
-      match (Unix.stat path).Unix.st_kind with
-      | exception Unix.Unix_error _ -> ()
-      | Unix.S_SOCK -> (
-          let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          match Unix.connect probe (Unix.ADDR_UNIX path) with
-          | () -> Unix.close probe
-          | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) ->
-              (try Unix.close probe with Unix.Unix_error _ -> ());
-              (try Sys.remove path with Sys_error _ -> ())
-          | exception Unix.Unix_error _ -> (
-              try Unix.close probe with Unix.Unix_error _ -> ()))
-      | _ -> ())
 
 let kill_if_alive pid signal =
   try Unix.kill pid signal
@@ -144,7 +119,6 @@ let run ?(on_event = fun (_ : event) -> ()) ~stop config =
   let restart_times = ref [] in
   let stopped () = Cancel.requested stop in
   let spawn () =
-    clear_stale_socket config.socket_path;
     let pid =
       Unix.create_process config.argv.(0) config.argv Unix.stdin Unix.stderr
         Unix.stderr

@@ -25,12 +25,10 @@
       the [max_restarts + 1]th within [restart_window] seconds, the
       supervisor gives up instead of flapping forever ([`Gave_up] — exit
       3 at the CLI);
-    - the {b stale-socket probe} re-runs before every spawn: a socket
-      file left by the dead child is removed (after a probe connect
-      confirms nothing is serving it), so the restart cannot lose the
-      bind race the server's own probe would also win — and a path
-      actively served by a foreign process is left alone (the child's
-      bind will fail and the budget will stop the flapping);
+    - a {b stale socket} file left by the dead child is the child's own
+      bind to clear: the server removes a socket file nothing answers
+      on, and refuses one a foreign process serves (the budget then
+      stops the flapping);
     - {b stop} (the [stop] token, wired to SIGTERM/SIGINT by the CLI)
       forwards SIGTERM to the child and waits out its own two-stage
       drain; only if the child overstays [drain_grace] is it SIGKILLed.
@@ -40,7 +38,6 @@
 
 type config = {
   argv : string array;  (** Child command; [argv.(0)] is the executable. *)
-  socket_path : string option;  (** For the pre-spawn stale-socket probe. *)
   health_addr : Gc_serve.Client.addr;
   health_interval : float;  (** Seconds between probes (default 0.25). *)
   health_timeout : float;  (** Per-probe reply budget (default 2). *)

@@ -430,7 +430,7 @@ let test_supervise_gives_up_on_crash_loop () =
 
 let test_supervise_clears_stale_socket () =
   (* Leave a dead socket file behind, as a SIGKILLed child would: the
-     pre-spawn probe must remove it so the child wins the bind. *)
+     child's own bind must probe it and replace it. *)
   let path = fresh_sock () in
   let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listener (Unix.ADDR_UNIX path);
