@@ -50,7 +50,7 @@ let spatial_mix rng ~n ~universe ~block_size ~p_spatial =
   let current = ref (Rng.int rng universe) in
   for i = 0 to n - 1 do
     let next =
-      if Rng.float rng 1.0 < p_spatial then begin
+      if float_of_int (Rng.bits53 rng) /. 0x1p53 < p_spatial then begin
         let blk = !current / block_size in
         let base = blk * block_size in
         let limit = min block_size (universe - base) in
@@ -127,7 +127,7 @@ let markov rng ~n ~universe ~block_size ~p_switch =
   let streaming = ref true in
   let cursor = ref 0 in
   for i = 0 to n - 1 do
-    if Rng.float rng 1.0 < p_switch then begin
+    if float_of_int (Rng.bits53 rng) /. 0x1p53 < p_switch then begin
       streaming := not !streaming;
       if !streaming then cursor := Rng.int rng universe
     end;

@@ -41,10 +41,8 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let[@inline] float t bound =
-  (* 53 uniform mantissa bits. *)
-  let v = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
-  float_of_int v /. 9007199254740992.0 *. bound
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (int64 t) 11)
+let[@inline] float t bound = float_of_int (bits53 t) /. 0x1p53 *. bound
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 

@@ -28,6 +28,12 @@ val int : t -> int -> int
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
 
+val bits53 : t -> int
+(** [bits53 t] is uniform in [\[0, 2^53)]: the mantissa bits behind
+    {!float}.  [float_of_int (bits53 t) /. 0x1p53] draws what
+    [float t 1.0] does without boxing the result, which a call across
+    modules does to a returned float. *)
+
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 

@@ -25,7 +25,7 @@ let probability t r =
   if r = 0 then t.cdf.(0) else t.cdf.(r) -. t.cdf.(r - 1)
 
 let sample t rng =
-  let u = Rng.float rng 1.0 in
+  let u = float_of_int (Rng.bits53 rng) /. 0x1p53 in
   (* Binary search for the first index with cdf >= u. *)
   let lo = ref 0 and hi = ref (t.n - 1) in
   while !lo < !hi do
