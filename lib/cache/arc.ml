@@ -54,10 +54,7 @@ module P = struct
       Lru_core.touch t.t2 x;
       Policy.Hit { evicted = [] }
     end
-    else if Lru_core.mem t.t2 x then begin
-      Lru_core.touch t.t2 x;
-      Policy.Hit { evicted = [] }
-    end
+    else if Lru_core.refresh t.t2 x then Policy.Hit { evicted = [] }
     else begin
       let evicted = ref [] in
       if Lru_core.mem t.b1 x then begin

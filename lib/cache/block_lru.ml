@@ -45,10 +45,7 @@ module P = struct
 
   let access t item =
     let blk = Gc_trace.Block_map.block_of t.blocks item in
-    if Lru_core.mem t.recency blk then begin
-      Lru_core.touch t.recency blk;
-      Policy.Hit { evicted = [] }
-    end
+    if Lru_core.refresh t.recency blk then Policy.Hit { evicted = [] }
     else begin
       let incoming = members t blk in
       let evicted = ref [] in

@@ -27,7 +27,13 @@ module Strategy = struct
   let mem t x = Hashtbl.mem t.pos x
   let size t = t.used
 
-  let on_hit t x = t.referenced.(Hashtbl.find t.pos x) <- true
+  (* [find], not [find_opt]: a hit must not box its answer. *)
+  let hit t x =
+    match Hashtbl.find t.pos x with
+    | slot ->
+        t.referenced.(slot) <- true;
+        true
+    | exception Not_found -> false
 
   let insert t x =
     (* Only called when size < capacity: there is a free slot.  Free slots

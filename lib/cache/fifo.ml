@@ -6,7 +6,7 @@ module Strategy = struct
   let create () = Lru_core.create ()
   let mem = Lru_core.mem
   let size = Lru_core.size
-  let on_hit _ _ = ()
+  let hit = Lru_core.mem
   let insert = Lru_core.insert_if_absent
 
   let pop_victim t =

@@ -89,11 +89,10 @@ module Engine = struct
           g.on_repartition ~item_budget:t.i ~block_budget:(t.k - t.i)
 
   let access t item =
-    if Lru_core.mem t.item_layer item then begin
+    if Lru_core.refresh t.item_layer item then begin
       (* Item-layer hit: refresh item recency only; the block layer's order
          must not be disturbed by temporal locality (unless the ablation
          switch says otherwise). *)
-      Lru_core.touch t.item_layer item;
       if t.reorder_on_item_hit then begin
         let blk = Gc_trace.Block_map.block_of t.blocks item in
         if Hashtbl.mem t.resident blk then Lru_core.touch t.block_layer blk

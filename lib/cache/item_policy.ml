@@ -6,7 +6,7 @@ module type STRATEGY = sig
   val create : config -> t
   val mem : t -> int -> bool
   val size : t -> int
-  val on_hit : t -> int -> unit
+  val hit : t -> int -> bool
   val insert : t -> int -> unit
   val pop_victim : t -> int
 end
@@ -21,10 +21,7 @@ module Make (S : STRATEGY) = struct
     let occupancy t = S.size t.state
 
     let access t item =
-      if S.mem t.state item then begin
-        S.on_hit t.state item;
-        Policy.Hit { evicted = [] }
-      end
+      if S.hit t.state item then Policy.Hit { evicted = [] }
       else begin
         let evicted = ref [] in
         while S.size t.state >= t.k do

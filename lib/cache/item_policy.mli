@@ -14,8 +14,10 @@ module type STRATEGY = sig
   val mem : t -> int -> bool
   val size : t -> int
 
-  val on_hit : t -> int -> unit
-  (** The item is present and was just re-referenced. *)
+  val hit : t -> int -> bool
+  (** The item was just requested: if it is present, record the
+      re-reference and answer [true]; if it is absent, change nothing and
+      answer [false].  One lookup serves both the test and the update. *)
 
   val insert : t -> int -> unit
   (** The item is absent and was just loaded. *)

@@ -24,8 +24,7 @@ module Strategy = struct
         Hashtbl.add t.buckets f b;
         b
 
-  let promote t x =
-    let f = Hashtbl.find t.freq x in
+  let promote t x f =
     let b = bucket t f in
     Lru_core.remove b x;
     if Lru_core.size b = 0 then Hashtbl.remove t.buckets f;
@@ -34,7 +33,12 @@ module Strategy = struct
     if t.min_freq = f && not (Hashtbl.mem t.buckets f) then
       t.min_freq <- f + 1
 
-  let on_hit t x = promote t x
+  let hit t x =
+    match Hashtbl.find t.freq x with
+    | f ->
+        promote t x f;
+        true
+    | exception Not_found -> false
 
   let insert t x =
     Hashtbl.replace t.freq x 1;

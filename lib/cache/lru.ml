@@ -6,7 +6,7 @@ module Strategy = struct
   let create () = Lru_core.create ()
   let mem = Lru_core.mem
   let size = Lru_core.size
-  let on_hit = Lru_core.touch
+  let hit = Lru_core.refresh
   let insert = Lru_core.touch
 
   let pop_victim t =

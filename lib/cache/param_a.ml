@@ -20,10 +20,7 @@ module P = struct
       t.run_block <- blk
     end;
     Hashtbl.replace t.run x ();
-    if Lru_core.mem t.recency x then begin
-      Lru_core.touch t.recency x;
-      Policy.Hit { evicted = [] }
-    end
+    if Lru_core.refresh t.recency x then Policy.Hit { evicted = [] }
     else begin
       let load_whole_block = Hashtbl.length t.run >= t.a in
       let to_load =

@@ -86,7 +86,13 @@ module Strategy = struct
       node := parent
     done
 
-  let on_hit t item = touch t t.index.(cell_of t item)
+  let hit t item =
+    let slot = t.index.(cell_of t item) in
+    if slot < 0 then false
+    else begin
+      touch t slot;
+      true
+    end
 
   (* Hardware fills invalid ways before consulting the tree; lowest-index
      first keeps it deterministic.  Only called with a free slot available

@@ -6,7 +6,7 @@ module Strategy = struct
   let create rng = { set = Index_set.create (); rng }
   let mem t = Index_set.mem t.set
   let size t = Index_set.size t.set
-  let on_hit _ _ = ()
+  let hit = mem
   let insert t x = Index_set.add t.set x
 
   let pop_victim t =

@@ -12,10 +12,7 @@ module P = struct
   let occupancy t = Lru_core.size t.recency
 
   let access t x =
-    if Lru_core.mem t.recency x then begin
-      Lru_core.touch t.recency x;
-      Policy.Hit { evicted = [] }
-    end
+    if Lru_core.refresh t.recency x then Policy.Hit { evicted = [] }
     else begin
       let blk = Gc_trace.Block_map.block_of t.blocks x in
       (* The next [degree] items after x within the same block, uncached. *)

@@ -34,10 +34,7 @@ module P = struct
     end
 
   let access t x =
-    if Lru_core.mem t.am x then begin
-      Lru_core.touch t.am x;
-      Policy.Hit { evicted = [] }
-    end
+    if Lru_core.refresh t.am x then Policy.Hit { evicted = [] }
     else if Lru_core.mem t.a1in x then
       (* Hit in the admission queue: 2Q leaves it in place (FIFO). *)
       Policy.Hit { evicted = [] }

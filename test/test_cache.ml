@@ -104,19 +104,22 @@ let test_lru_core_remove () =
 
 (* Random operation sequences against a list model (MRU first), checking
    [size], [to_list_mru_first] and [mem] after every step.  Keys are drawn
-   from twenty small ids and twenty spaced 2^40 apart, enough for the
-   index to grow and for removed keys to come back. *)
-type lru_op = Touch | Insert | Remove | Pop | Lru | Mru
+   from 100 small ids and 100 spaced 2^40 apart: sequences of up to 500
+   operations hold dozens of keys at once, so the store grows several
+   times past its initial room for four keys and two chain heads, and
+   keys that were removed come back into freed slots. *)
+type lru_op = Touch | Refresh | Insert | Remove | Pop | Lru | Mru
 
 let lru_op_name = function
   | Touch -> "touch"
+  | Refresh -> "refresh"
   | Insert -> "insert_if_absent"
   | Remove -> "remove"
   | Pop -> "pop_lru"
   | Lru -> "lru"
   | Mru -> "mru"
 
-let model_key i = if i < 20 then i else (i - 20) lsl 40
+let model_key i = if i < 100 then i else (i - 100) lsl 40
 let model_lru model = match List.rev model with [] -> None | x :: _ -> Some x
 let model_mru = function [] -> None | x :: _ -> Some x
 
@@ -129,6 +132,10 @@ let lru_core_model_step l model (op, key) =
     | Touch ->
         Lru_core.touch l key;
         (key :: without key, true)
+    | Refresh ->
+        let present = List.mem key model in
+        let got = Lru_core.refresh l key in
+        ((if present then key :: without key else model), got = present)
     | Insert ->
         Lru_core.insert_if_absent l key;
         ((if List.mem key model then model else key :: model), true)
@@ -150,12 +157,15 @@ let lru_core_model_step l model (op, key) =
     && Lru_core.mem l key = List.mem key model )
 
 let lru_core_model count =
-  let op = QCheck.Gen.(pair (oneofl [ Touch; Insert; Remove; Pop; Lru; Mru ]) (map model_key (int_range 0 39))) in
+  let op =
+    QCheck.Gen.(
+      pair (oneofl [ Touch; Refresh; Insert; Remove; Pop; Lru; Mru ]) (map model_key (int_range 0 199)))
+  in
   Test_util.qcheck ~count "lru_core matches a list model"
     (QCheck.make
        ~print:(fun ops ->
          String.concat "; " (List.map (fun (o, k) -> Printf.sprintf "%s %d" (lru_op_name o) k) ops))
-       QCheck.Gen.(list_size (int_range 0 300) op))
+       QCheck.Gen.(list_size (int_range 0 500) op))
     (fun ops ->
       let l = Lru_core.create () in
       let rec go model = function
