@@ -17,6 +17,7 @@ val at : t -> int -> int
 val after : t -> pos:int -> item:int -> int
 (** [after t ~pos ~item] is the first position [>= pos] at which [item] is
     requested ([never] if none).  [pos] must move forward monotonically per
-    item between calls with the same [t] — the implementation walks each
-    item's occurrence list with a cursor. *)
+    item between calls with the same [t] — the implementation keeps a
+    cursor per item, starting at its first position, and walks it along
+    {!at}'s chain. *)
 

@@ -5,6 +5,9 @@ let rng () = Rng.create 2024
 
 (* ------------------------------------------------------------- Next_use *)
 
+(* [at] for every position; then [after] for every item of the trace and
+   one it never requests, at positions rising per item by a stride of 1,
+   2 or 3, so a cursor sometimes passes several uses in one call. *)
 let qcheck_next_use =
   Test_util.qcheck ~count:200 "next_use matches brute force"
     (Test_util.small_trace_arbitrary ())
@@ -12,17 +15,22 @@ let qcheck_next_use =
       let trace = Test_util.trace_of (bs, reqs) in
       let nu = Next_use.of_trace trace in
       let n = Array.length reqs in
+      let rec first_from item p =
+        if p >= n then Next_use.never
+        else if reqs.(p) = item then p
+        else first_from item (p + 1)
+      in
       let ok = ref true in
       for pos = 0 to n - 1 do
-        let expected =
-          let rec find p =
-            if p >= n then Next_use.never
-            else if reqs.(p) = reqs.(pos) then p
-            else find (p + 1)
-          in
-          find (pos + 1)
-        in
-        if Next_use.at nu pos <> expected then ok := false
+        if Next_use.at nu pos <> first_from reqs.(pos) (pos + 1) then ok := false
+      done;
+      let items = Array.fold_left max 0 reqs + 1 :: Array.to_list reqs |> List.sort_uniq compare in
+      for pos = 0 to n do
+        List.iter
+          (fun item ->
+            if pos mod (1 + (item mod 3)) = 0 then
+              if Next_use.after nu ~pos ~item <> first_from item pos then ok := false)
+          items
       done;
       !ok)
 
