@@ -1221,7 +1221,7 @@ let () =
   | None -> ()
   | Some out ->
       let manifest =
-        Gc_cache.Obs_run.manifest ~tool:"bench"
+        Gc_cache.Obs_run.manifest_of_outcomes ~tool:"bench"
           ~command:(String.concat " " requested)
           ~wall_time_s:(Unix.gettimeofday () -. t0)
           ~extra:

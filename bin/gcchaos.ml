@@ -281,6 +281,36 @@ let outcome_class = function
   | Ok _ -> "reply"
   | Error (e : Client.error) -> "transport:" ^ Client.kind_name e.kind
 
+(* The supervision every drill's servers run under, for the server
+   [argv] listening on [sock].  SIGSTOP stalls probes for ~0.35s; with
+   0.05s probes that is a handful of consecutive failures, so the wedge
+   threshold must sit far above it or the pause would masquerade as a
+   crash. *)
+let drill_supervision ~sock ~seed argv =
+  {
+    (Supervise.default_config ~argv ~health_addr:(Client.Unix_path sock)) with
+    Supervise.health_interval = 0.05;
+    startup_grace = 20.;
+    wedge_threshold = 200;
+    restart_window = 300.;
+    max_restarts = 10;
+    backoff = { Retry.default with base_delay = 0.05; max_delay = 0.2 };
+    seed;
+  }
+
+(* Request [i] of the drill and partition mixes: a small sim every
+   third request, health otherwise. *)
+let mixed_request i =
+  if i mod 3 = 0 then
+    Json.Obj
+      [
+        ("op", Json.String "sim"); ("policy", Json.String "lru");
+        ("k", Json.Int 64); ("seed", Json.Int i);
+        ("workload", Json.String "zipf"); ("n", Json.Int 500);
+        ("universe", Json.Int 256);
+      ]
+  else Json.Obj [ ("op", Json.String "health") ]
+
 let drill ~server_exe ~requests ~seed =
   let rng = Rng.create seed in
   let schedule = derive_schedule rng in
@@ -295,27 +325,12 @@ let drill ~server_exe ~requests ~seed =
   let proxy_sock = Filename.concat dir "proxy.sock" in
   let manifest_path = Filename.concat dir "manifest.json" in
   let config =
-    {
-      (Supervise.default_config
-         ~argv:
-           [|
-             server_exe; "serve"; "--socket"; sock; "--manifest"; manifest_path;
-             "--frame-timeout"; string_of_float child_frame_timeout;
-             "--deadline"; "10"; "--workers"; "2"; "--queue-depth"; "32";
-           |]
-         ~health_addr:(Client.Unix_path sock))
-      with
-      Supervise.health_interval = 0.05;
-      startup_grace = 20.;
-      (* SIGSTOP stalls probes for ~0.35s; with 0.05s probes that is a
-         handful of consecutive failures, so the wedge threshold must sit
-         far above it or the pause would masquerade as a crash. *)
-      wedge_threshold = 200;
-      restart_window = 300.;
-      max_restarts = 10;
-      backoff = { Retry.default with base_delay = 0.05; max_delay = 0.2 };
-      seed;
-    }
+    drill_supervision ~sock ~seed
+      [|
+        server_exe; "serve"; "--socket"; sock; "--manifest"; manifest_path;
+        "--frame-timeout"; string_of_float child_frame_timeout;
+        "--deadline"; "10"; "--workers"; "2"; "--queue-depth"; "32";
+      |]
   in
   let watch = watch_create () in
   let stop = Gc_exec.Cancel.create () in
@@ -358,19 +373,8 @@ let drill ~server_exe ~requests ~seed =
       Gc_exec.Pool.nap 0.35;
       signal_child watch Sys.sigcont
     end;
-    let req =
-      if i mod 3 = 0 then
-        Json.Obj
-          [
-            ("op", Json.String "sim"); ("policy", Json.String "lru");
-            ("k", Json.Int 64); ("seed", Json.Int i);
-            ("workload", Json.String "zipf"); ("n", Json.Int 500);
-            ("universe", Json.Int 256);
-          ]
-      else Json.Obj [ ("op", Json.String "health") ]
-    in
     dbg "request %d" i;
-    (match Gc_resil.Resilient_client.request rc req with
+    (match Gc_resil.Resilient_client.request rc (mixed_request i) with
     | Ok _ -> ()
     | Error f ->
         incr direct_failures;
@@ -656,26 +660,14 @@ let storm_phase ~server_exe ~seed ~mitigated dir =
   let sock = Filename.concat dir (tag ^ ".sock") in
   let manifest_path = Filename.concat dir (tag ^ ".manifest.json") in
   let config =
-    {
-      (Supervise.default_config
-         ~argv:
-           [|
-             server_exe; "serve"; "--socket"; sock; "--manifest"; manifest_path;
-             "--deadline"; "0.5"; "--workers"; "1"; "--queue-depth"; "16";
-             "--codel-target"; (if mitigated then "0.05" else "0");
-             "--codel-interval"; "0.25"; "--retry-after-ms"; "40";
-             "--seed"; string_of_int seed;
-           |]
-         ~health_addr:(Client.Unix_path sock))
-      with
-      Supervise.health_interval = 0.05;
-      startup_grace = 20.;
-      wedge_threshold = 200;
-      restart_window = 300.;
-      max_restarts = 10;
-      backoff = { Retry.default with base_delay = 0.05; max_delay = 0.2 };
-      seed;
-    }
+    drill_supervision ~sock ~seed
+      [|
+        server_exe; "serve"; "--socket"; sock; "--manifest"; manifest_path;
+        "--deadline"; "0.5"; "--workers"; "1"; "--queue-depth"; "16";
+        "--codel-target"; (if mitigated then "0.05" else "0");
+        "--codel-interval"; "0.25"; "--retry-after-ms"; "40";
+        "--seed"; string_of_int seed;
+      |]
   in
   let watch = watch_create () in
   let stop = Gc_exec.Cancel.create () in
@@ -899,29 +891,16 @@ let partition ~server_exe ~requests ~seed =
   let proxy_sock = Filename.concat dir "proxy.sock" in
   let configs =
     Array.init partition_replicas (fun i ->
-        {
-          (Supervise.default_config
-             ~argv:
-               [|
-                 server_exe; "serve"; "--socket"; sock i; "--name"; name i;
-                 "--manifest"; manifest_path i;
-                 "--frame-timeout"; string_of_float child_frame_timeout;
-                 "--deadline"; "10"; "--workers"; "2"; "--queue-depth"; "32";
-               |]
-             ~health_addr:(Client.Unix_path (sock i)))
-          with
-          Supervise.health_interval = 0.05;
-          startup_grace = 20.;
-          (* As in [drill]: the SIGSTOP pause stalls probes for a
-             handful of intervals and must not read as a wedge. *)
-          wedge_threshold = 200;
-          restart_window = 300.;
-          max_restarts = 10;
-          backoff = { Retry.default with base_delay = 0.05; max_delay = 0.2 };
-          (* Distinct per-replica seeds: backoff jitter must never
-             synchronize across the set. *)
-          seed = (seed * partition_replicas) + i;
-        })
+        (* Distinct per-replica seeds: backoff jitter must never
+           synchronize across the set. *)
+        drill_supervision ~sock:(sock i)
+          ~seed:((seed * partition_replicas) + i)
+          [|
+            server_exe; "serve"; "--socket"; sock i; "--name"; name i;
+            "--manifest"; manifest_path i;
+            "--frame-timeout"; string_of_float child_frame_timeout;
+            "--deadline"; "10"; "--workers"; "2"; "--queue-depth"; "32";
+          |])
   in
   let watches = Array.init partition_replicas (fun _ -> watch_create ()) in
   let stop = Gc_exec.Cancel.create () in
@@ -960,13 +939,7 @@ let partition ~server_exe ~requests ~seed =
     Rc.create_set ~timeout:2.0
       ~retry:
         { Retry.default with max_attempts = 8; base_delay = 0.05; max_delay = 0.4 }
-      ~hedge:
-        {
-          Rc.default_hedge with
-          min_delay = partition_hedge_delay;
-          max_delay = partition_hedge_delay;
-          initial_delay = partition_hedge_delay;
-        }
+      ~hedge:partition_hedge_delay
       ~pool_config:
         {
           (* Rotation, not p2c: routing order must be a function of the
@@ -1006,19 +979,8 @@ let partition ~server_exe ~requests ~seed =
       Atomic.set degraded false;
       Rc.close mc
     end;
-    let req =
-      if i mod 3 = 0 then
-        Json.Obj
-          [
-            ("op", Json.String "sim"); ("policy", Json.String "lru");
-            ("k", Json.Int 64); ("seed", Json.Int i);
-            ("workload", Json.String "zipf"); ("n", Json.Int 500);
-            ("universe", Json.Int 256);
-          ]
-      else Json.Obj [ ("op", Json.String "health") ]
-    in
     dbg "partition request %d" i;
-    (match Rc.request mc req with
+    (match Rc.request mc (mixed_request i) with
     | Ok reply -> if is_ok_reply reply then incr oks
     | Error f ->
         incr failures;

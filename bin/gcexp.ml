@@ -205,7 +205,7 @@ let miss_curve policies k_min k_max steps offline seed domains deadline retries
          else [])
       in
       let manifest =
-        Gc_cache.Obs_run.manifest ~tool:"gcexp" ~command:"miss-curve" ~seed
+        Gc_cache.Obs_run.manifest_of_outcomes ~tool:"gcexp" ~command:"miss-curve" ~seed
           ~trace:(Gc_cache.Obs_run.trace_info ~path trace)
           ~wall_time_s:(Unix.gettimeofday () -. t0)
           ~extra []

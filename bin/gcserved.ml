@@ -644,13 +644,7 @@ let client socket tcp tcp_host op policy k seed workload n universe block_size
      same-attempt failover, per-replica breakers, and (with --hedge-ms)
      hedged requests. *)
   let module Rc = Gc_resil.Resilient_client in
-  let hedge =
-    Option.map
-      (fun ms ->
-        let d = Float.of_int ms /. 1000. in
-        { Rc.default_hedge with min_delay = d; max_delay = d; initial_delay = d })
-      hedge_ms
-  in
+  let hedge = Option.map (fun ms -> Float.of_int ms /. 1000.) hedge_ms in
   let addrs =
     match endpoints with
     | [] -> [ addr ~socket ~tcp ~tcp_host ]

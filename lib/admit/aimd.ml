@@ -1,22 +1,21 @@
 type t = {
   min_limit : int;
   max_limit : int;
-  beta : float;
   cooldown : float;
   mutable current : float;  (* fractional; [limit] floors it *)
   mutable next_decrease : float;  (* monotonic instant; -inf = armed *)
 }
 
-let create ?(beta = 0.7) ?(cooldown = 0.5) ~min_limit ~max_limit () =
+(* The multiplicative-decrease factor. *)
+let beta = 0.7
+
+let create ?(cooldown = 0.5) ~min_limit ~max_limit () =
   if min_limit < 1 then invalid_arg "Aimd.create: min_limit < 1";
   if max_limit < min_limit then
     invalid_arg "Aimd.create: max_limit < min_limit";
-  if beta <= 0. || beta >= 1. then
-    invalid_arg "Aimd.create: beta must be in (0, 1)";
   {
     min_limit;
     max_limit;
-    beta;
     cooldown = Float.max 0. cooldown;
     current = Float.of_int max_limit;
     next_decrease = Float.neg_infinity;
@@ -35,6 +34,6 @@ let on_success t =
 
 let on_congestion t ~now =
   if now >= t.next_decrease then begin
-    t.current <- Float.max (Float.of_int t.min_limit) (t.current *. t.beta);
+    t.current <- Float.max (Float.of_int t.min_limit) (t.current *. beta);
     t.next_decrease <- now +. t.cooldown
   end

@@ -1,25 +1,13 @@
-type t = {
-  cap : float;
-  refill : float;
-  mutable level : float;
-  mutable n_denied : int;
-}
+type t = { cap : float; mutable level : float; mutable n_denied : int }
 
-let finite name v =
-  if not (Float.is_finite v) then
-    invalid_arg ("Token_bucket.create: " ^ name ^ " is not finite")
+(* One free retry per five successes, steady-state. *)
+let refill_per_success = 0.2
 
-let create ?(capacity = 10.) ?initial ?(refill_per_success = 0.2) () =
-  finite "capacity" capacity;
-  finite "refill_per_success" refill_per_success;
+let create ?(capacity = 10.) () =
+  if not (Float.is_finite capacity) then
+    invalid_arg "Token_bucket.create: capacity is not finite";
   if capacity <= 0. then invalid_arg "Token_bucket.create: capacity <= 0";
-  if refill_per_success < 0. then
-    invalid_arg "Token_bucket.create: refill_per_success < 0";
-  let initial = Option.value initial ~default:capacity in
-  finite "initial" initial;
-  if initial < 0. || initial > capacity then
-    invalid_arg "Token_bucket.create: initial outside [0, capacity]";
-  { cap = capacity; refill = refill_per_success; level = initial; n_denied = 0 }
+  { cap = capacity; level = capacity; n_denied = 0 }
 
 (* Every mutation funnels through this clamp, so accumulated float error
    (e.g. thousands of fractional refills against a fractional capacity)
@@ -40,7 +28,7 @@ let try_take t =
   end
 
 let on_success t =
-  t.level <- t.level +. t.refill;
+  t.level <- t.level +. refill_per_success;
   clamp t
 
 let tokens t = t.level

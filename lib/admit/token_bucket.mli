@@ -3,8 +3,9 @@
     A fleet of retrying clients amplifies an overload — every shed reply
     turns into another request — unless retries are {e paid for}.  This
     bucket holds fractional tokens; a retry costs one token, and tokens
-    refill in proportion to {e successes}, not to time.  Against a
-    healthy server the bucket stays full and retries are free; against a
+    refill in proportion to {e successes}, not to time: the bucket
+    starts full, and each success adds 0.2 tokens.  Against a healthy
+    server the bucket stays full and retries are free; against a
     collapsing one successes dry up, the bucket drains, and the fleet's
     retry traffic throttles itself to a fixed multiple of its success
     rate — which is exactly the property that lets a metastable system
@@ -16,20 +17,18 @@
 
 type t
 
-val create :
-  ?capacity:float -> ?initial:float -> ?refill_per_success:float -> unit -> t
-(** Defaults: [capacity] 10., [initial] = capacity, [refill_per_success]
-    0.2 (one free retry per five successes, steady-state).  Raises
-    [Invalid_argument] when [capacity <= 0.], [initial] is outside
-    [[0, capacity]], [refill_per_success < 0.], or any parameter is NaN
-    or infinite. *)
+val create : ?capacity:float -> unit -> t
+(** A full bucket of [capacity] tokens (default 10.).  Each success
+    refills 0.2 tokens: one free retry per five successes, steady-state.
+    Raises [Invalid_argument] when [capacity <= 0.] or is NaN or
+    infinite. *)
 
 val try_take : t -> bool
 (** Spend one token for a retry.  [false] (and a recorded denial) when
     fewer than one token remains — the caller must not retry. *)
 
 val on_success : t -> unit
-(** Credit [refill_per_success] tokens, capped at [capacity]. *)
+(** Credit 0.2 tokens, capped at [capacity]. *)
 
 val tokens : t -> float
 (** Current level, in [[0, capacity]]. *)

@@ -26,25 +26,16 @@ module P = struct
     let from_t1 =
       t1_size >= 1 && (t1_size > t.p || (in_b2 && t1_size = t.p))
     in
-    if from_t1 then begin
-      match Lru_core.pop_lru t.t1 with
-      | Some v ->
-          Lru_core.touch t.b1 v;
-          v
-      | None -> assert false
+    (* From T1 when the target says so, or when T2 is empty. *)
+    if from_t1 || Lru_core.size t.t2 = 0 then begin
+      let v = Lru_core.pop_lru t.t1 in
+      Lru_core.touch t.b1 v;
+      v
     end
     else begin
-      match Lru_core.pop_lru t.t2 with
-      | Some v ->
-          Lru_core.touch t.b2 v;
-          v
-      | None -> (
-          (* T2 empty: fall back to T1. *)
-          match Lru_core.pop_lru t.t1 with
-          | Some v ->
-              Lru_core.touch t.b1 v;
-              v
-          | None -> assert false)
+      let v = Lru_core.pop_lru t.t2 in
+      Lru_core.touch t.b2 v;
+      v
     end
 
   let access t x =
@@ -85,12 +76,9 @@ module P = struct
             ignore (Lru_core.pop_lru t.b1);
             evicted := [ replace t ~in_b2:false ]
           end
-          else begin
+          else
             (* B1 empty, T1 full: evict T1's LRU outright. *)
-            match Lru_core.pop_lru t.t1 with
-            | Some v -> evicted := [ v ]
-            | None -> assert false
-          end
+            evicted := [ Lru_core.pop_lru t.t1 ]
         end
         else begin
           let total =

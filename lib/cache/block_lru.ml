@@ -36,12 +36,9 @@ module P = struct
   (* The evicted block's items, ascending, go in front of those of blocks
      evicted earlier on the same miss. *)
   let evict_lru_block t acc =
-    match Lru_core.pop_lru t.recency with
-    | None -> assert false
-    | Some blk ->
-        let m = members t blk in
-        t.occ <- t.occ - m.width;
-        match acc with [] -> m.items | _ -> m.items @ acc
+    let m = members t (Lru_core.pop_lru t.recency) in
+    t.occ <- t.occ - m.width;
+    match acc with [] -> m.items | _ -> m.items @ acc
 
   let access t item =
     let blk = Gc_trace.Block_map.block_of t.blocks item in

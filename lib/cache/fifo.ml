@@ -9,8 +9,7 @@ module Strategy = struct
   let hit = Lru_core.mem
   let insert = Lru_core.insert_if_absent
 
-  let pop_victim t =
-    match Lru_core.pop_lru t with Some v -> v | None -> assert false
+  let pop_victim = Lru_core.pop_lru
 end
 
 module M = Item_policy.Make (Strategy)

@@ -40,18 +40,16 @@ module Engine = struct
   (* Evict the LRU block; returns the items that left the cache entirely
      (i.e. are not duplicated in the item layer). *)
   let evict_lru_block t =
-    match Lru_core.pop_lru t.block_layer with
-    | None -> assert false
-    | Some blk ->
-        let items = Hashtbl.find t.resident blk in
-        Hashtbl.remove t.resident blk;
-        t.block_occ <- t.block_occ - Array.length items;
-        (match t.ghosts with
-        | Some g -> remember g.victim_blocks (t.k / t.bsize) blk
-        | None -> ());
-        Array.fold_left
-          (fun acc x -> if Lru_core.mem t.item_layer x then acc else x :: acc)
-          [] items
+    let blk = Lru_core.pop_lru t.block_layer in
+    let items = Hashtbl.find t.resident blk in
+    Hashtbl.remove t.resident blk;
+    t.block_occ <- t.block_occ - Array.length items;
+    (match t.ghosts with
+    | Some g -> remember g.victim_blocks (t.k / t.bsize) blk
+    | None -> ());
+    Array.fold_left
+      (fun acc x -> if Lru_core.mem t.item_layer x then acc else x :: acc)
+      [] items
 
   (* Insert into the item layer, first trimming it to leave one slot under
      the budget (which may just have shrunk, even to zero: then nothing is
@@ -60,11 +58,9 @@ module Engine = struct
     let gone = ref [] in
     let limit = max 0 (t.i - 1) in
     while Lru_core.size t.item_layer > limit do
-      match Lru_core.pop_lru t.item_layer with
-      | None -> assert false
-      | Some v ->
-          (match t.ghosts with Some g -> remember g.victim_items t.k v | None -> ());
-          if not (in_block_layer t v) then gone := v :: !gone
+      let v = Lru_core.pop_lru t.item_layer in
+      (match t.ghosts with Some g -> remember g.victim_items t.k v | None -> ());
+      if not (in_block_layer t v) then gone := v :: !gone
     done;
     if t.i > 0 then Lru_core.touch t.item_layer item;
     !gone

@@ -54,7 +54,7 @@ module Strategy = struct
       t.min_freq <- t.min_freq + 1
     done;
     let b = Hashtbl.find t.buckets t.min_freq in
-    let v = match Lru_core.pop_lru b with Some v -> v | None -> assert false in
+    let v = Lru_core.pop_lru b in
     if Lru_core.size b = 0 then Hashtbl.remove t.buckets t.min_freq;
     Hashtbl.remove t.freq v;
     t.count <- t.count - 1;

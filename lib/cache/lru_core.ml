@@ -161,13 +161,11 @@ let lru t = if t.size = 0 then None else Some (get t.nodes (get t.nodes prev))
 let mru t = if t.size = 0 then None else Some (get t.nodes (get t.nodes next))
 
 let pop_lru t =
-  if t.size = 0 then None
-  else begin
-    let p = get t.nodes prev in
-    let key = get t.nodes p in
-    detach t p;
-    Some key
-  end
+  assert (t.size > 0);
+  let p = get t.nodes prev in
+  let key = get t.nodes p in
+  detach t p;
+  key
 
 let rec cons_towards_mru nodes p acc =
   if p = 0 then acc else cons_towards_mru nodes (get nodes (p + prev)) (get nodes p :: acc)

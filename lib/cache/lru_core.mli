@@ -14,8 +14,8 @@
     and [remove] allocate nothing; inserting a key reuses a slot a removal
     freed, and the array doubles only when none is free, keeping room for
     a power of two of keys (load factor at most 2), so a full cache that
-    evicts one key to admit another allocates nothing.  [lru], [mru] and
-    [pop_lru] box their answer. *)
+    evicts one key to admit another allocates nothing, [pop_lru]
+    included.  [lru] and [mru] box their answer. *)
 
 type t
 
@@ -42,7 +42,8 @@ val lru : t -> int option
 
 val mru : t -> int option
 
-val pop_lru : t -> int option
-(** Remove and return the LRU key. *)
+val pop_lru : t -> int
+(** Remove and return the LRU key.  The list must not be empty
+    (asserted): callers that may find it empty test {!size} first. *)
 
 val to_list_mru_first : t -> int list

@@ -56,9 +56,7 @@ module P = struct
   (* Evicted items keep their history while among the last [k] evicted. *)
   let forget_ghosts t =
     while Lru_core.size t.ghost > t.k do
-      match Lru_core.pop_lru t.ghost with
-      | Some v -> Hashtbl.remove t.refs v
-      | None -> assert false
+      Hashtbl.remove t.refs (Lru_core.pop_lru t.ghost)
     done
 
   let access t x =

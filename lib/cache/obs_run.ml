@@ -48,60 +48,53 @@ let run_args name k =
 let run_policy ?(check = true) ?(histograms = false) ?sink ?wrap ~k ~seed name
     trace =
   let blocks = trace.Gc_trace.Trace.blocks in
-  let build p = match wrap with Some w -> w p | None -> p in
-  if not (histograms || Option.is_some sink) then begin
-    (* Fully unobserved: no probe, no event allocation. *)
-    let p = build (Registry.make name ~k ~blocks ~seed) in
-    let progress, finish = span_hooks ~base:progress () in
-    let metrics =
-      Gc_prof.Span.with_ ~args:(run_args name k) "run_policy" (fun () ->
-          Fun.protect ~finally:finish (fun () ->
-              Simulator.run ~check ~progress p trace))
-    in
-    { policy = name; metrics; registry = None; events = [] }
-  end
-  else begin
-    let reg = if histograms then Some (Gc_obs.Registry.create ()) else None in
-    let probe_consumer = Option.map (fun r -> Gc_obs.Probe.create r) reg in
-    let counts = Gc_obs.Sink.Count.create () in
-    let sinks =
-      List.filter_map Fun.id
-        [
-          Some (Gc_obs.Sink.Count.sink counts);
-          Option.map Gc_obs.Probe.sink probe_consumer;
-          sink;
-        ]
-    in
-    let emit = Gc_obs.Sink.tee sinks in
-    (* The adaptive policies report repartitions from inside their access
-       function; stamp those callbacks with the index of the in-flight
-       access, tracked from the event stream itself. *)
-    let current_index = ref (-1) in
-    let probe ev =
-      (match ev with
-      | Gc_obs.Event.Access { index; _ } -> current_index := index
-      | _ -> ());
-      emit ev
-    in
-    let repartition ~item_budget ~block_budget =
-      probe
-        (Gc_obs.Event.Repartition
-           { index = !current_index; item_budget; block_budget })
-    in
-    let p = build (Registry.make ~repartition name ~k ~blocks ~seed) in
-    let progress, finish = span_hooks ~base:progress () in
-    let metrics =
-      Gc_prof.Span.with_ ~args:(run_args name k) "run_policy" (fun () ->
-          Fun.protect ~finally:finish (fun () ->
-              Simulator.run ~check ~probe ~progress p trace))
-    in
-    {
-      policy = name;
-      metrics;
-      registry = reg;
-      events = Gc_obs.Sink.Count.by_kind counts;
-    }
-  end
+  let reg = if histograms then Some (Gc_obs.Registry.create ()) else None in
+  (* Unobserved (neither histograms nor a sink): no probe and no
+     repartition callback, so no event is ever allocated. *)
+  let probe, repartition, events =
+    if not (histograms || Option.is_some sink) then (None, None, fun () -> [])
+    else begin
+      let counts = Gc_obs.Sink.Count.create () in
+      let sinks =
+        List.filter_map Fun.id
+          [
+            Some (Gc_obs.Sink.Count.sink counts);
+            Option.map
+              (fun r -> Gc_obs.Probe.sink (Gc_obs.Probe.create r))
+              reg;
+            sink;
+          ]
+      in
+      let emit = Gc_obs.Sink.tee sinks in
+      (* The adaptive policies report repartitions from inside their
+         access function; stamp those callbacks with the index of the
+         in-flight access, tracked from the event stream itself. *)
+      let current_index = ref (-1) in
+      let probe ev =
+        (match ev with
+        | Gc_obs.Event.Access { index; _ } -> current_index := index
+        | _ -> ());
+        emit ev
+      in
+      let repartition ~item_budget ~block_budget =
+        probe
+          (Gc_obs.Event.Repartition
+             { index = !current_index; item_budget; block_budget })
+      in
+      ( Some probe,
+        Some repartition,
+        fun () -> Gc_obs.Sink.Count.by_kind counts )
+    end
+  in
+  let p = Registry.make ?repartition name ~k ~blocks ~seed in
+  let p = match wrap with Some w -> w p | None -> p in
+  let progress, finish = span_hooks ~base:progress () in
+  let metrics =
+    Gc_prof.Span.with_ ~args:(run_args name k) "run_policy" (fun () ->
+        Fun.protect ~finally:finish (fun () ->
+            Simulator.run ~check ?probe ~progress p trace))
+  in
+  { policy = name; metrics; registry = reg; events = events () }
 
 let run_policy_result ?check ?histograms ?sink ?wrap ~k ~seed name trace =
   match run_policy ?check ?histograms ?sink ?wrap ~k ~seed name trace with
@@ -147,10 +140,6 @@ let failed_run (f : failure) =
     events = [];
     error = Some (f.kind, f.message);
   }
-
-let manifest ~tool ~command ?seed ?k ?trace ?wall_time_s ?extra results =
-  Gc_obs.Manifest.make ~tool ~command ?seed ?k ?trace ?wall_time_s ?extra
-    (List.map manifest_run results)
 
 let manifest_of_outcomes ~tool ~command ?seed ?k ?trace ?wall_time_s ?extra
     outcomes =

@@ -71,19 +71,6 @@ val failed_run : failure -> Gc_obs.Manifest.run
 val trace_info : path:string -> Gc_trace.Trace.t -> Gc_obs.Manifest.trace_info
 (** Length, block size, and content digest for the manifest. *)
 
-val manifest :
-  tool:string ->
-  command:string ->
-  ?seed:int ->
-  ?k:int ->
-  ?trace:Gc_obs.Manifest.trace_info ->
-  ?wall_time_s:float ->
-  ?extra:(string * Gc_obs.Json.t) list ->
-  result list ->
-  Gc_obs.Manifest.t
-(** Package results: each run carries its {!Metrics.fields} (plus derived
-    rates), its histogram registry snapshot, and its event counts. *)
-
 val manifest_of_outcomes :
   tool:string ->
   command:string ->
@@ -94,6 +81,9 @@ val manifest_of_outcomes :
   ?extra:(string * Gc_obs.Json.t) list ->
   (result, failure) Stdlib.result list ->
   Gc_obs.Manifest.t
-(** Like {!manifest}, but accepts {!run_policy_result} outcomes: a failed
-    policy keeps its slot in the manifest's [runs], with empty metrics and
-    the [error] field set, so a sweep's survivors are never discarded. *)
+(** Package {!run_policy_result} outcomes: each successful run carries
+    its {!Metrics.fields} (plus derived rates), its histogram registry
+    snapshot, and its event counts; a failed policy keeps its slot in the
+    manifest's [runs], with empty metrics and the [error] field set, so a
+    sweep's survivors are never discarded.  Callers holding only
+    successes pass [List.map Result.ok]. *)

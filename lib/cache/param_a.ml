@@ -34,9 +34,7 @@ module P = struct
       let need = List.length to_load in
       let evicted = ref [] in
       while Lru_core.size t.recency + need > t.k do
-        match Lru_core.pop_lru t.recency with
-        | Some v -> evicted := v :: !evicted
-        | None -> assert false
+        evicted := Lru_core.pop_lru t.recency :: !evicted
       done;
       (* Insert spatial prefetches first so the requested item ends up most
          recently used. *)

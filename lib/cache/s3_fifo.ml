@@ -21,48 +21,41 @@ module P = struct
      that actually left the cache. *)
   let rec evict_one t =
     if Lru_core.size t.small >= t.small_cap then begin
-      match Lru_core.pop_lru t.small with
-      | None -> assert false
-      | Some v ->
-          if Option.value ~default:0 (Hashtbl.find_opt t.freq v) > 0 then begin
-            (* Referenced while probationary: promote to main. *)
-            Hashtbl.replace t.freq v 0;
-            Lru_core.insert_if_absent t.main v;
-            evict_one t
-          end
-          else begin
-            Hashtbl.remove t.freq v;
-            Lru_core.touch t.ghost v;
-            while Lru_core.size t.ghost > t.k do
-              ignore (Lru_core.pop_lru t.ghost)
-            done;
-            v
-          end
+      let v = Lru_core.pop_lru t.small in
+      if Option.value ~default:0 (Hashtbl.find_opt t.freq v) > 0 then begin
+        (* Referenced while probationary: promote to main. *)
+        Hashtbl.replace t.freq v 0;
+        Lru_core.insert_if_absent t.main v;
+        evict_one t
+      end
+      else begin
+        Hashtbl.remove t.freq v;
+        Lru_core.touch t.ghost v;
+        while Lru_core.size t.ghost > t.k do
+          ignore (Lru_core.pop_lru t.ghost)
+        done;
+        v
+      end
+    end
+    else if Lru_core.size t.main = 0 then begin
+      (* Main empty: fall back to small unconditionally. *)
+      let v = Lru_core.pop_lru t.small in
+      Hashtbl.remove t.freq v;
+      v
     end
     else begin
-      match Lru_core.pop_lru t.main with
-      | None -> (
-          (* Main empty: fall back to small unconditionally. *)
-          match Lru_core.pop_lru t.small with
-          | Some v ->
-              Hashtbl.remove t.freq v;
-              v
-          | None -> assert false)
-      | Some v ->
-          let c = Option.value ~default:0 (Hashtbl.find_opt t.freq v) in
-          if c > 0 then begin
-            (* Second chance, decayed. *)
-            Hashtbl.replace t.freq v (c - 1);
-            Lru_core.insert_if_absent t.main v;
-            (* insert_if_absent skips existing keys; force reinsertion. *)
-            Lru_core.remove t.main v;
-            Lru_core.touch t.main v;
-            evict_one t
-          end
-          else begin
-            Hashtbl.remove t.freq v;
-            v
-          end
+      let v = Lru_core.pop_lru t.main in
+      let c = Option.value ~default:0 (Hashtbl.find_opt t.freq v) in
+      if c > 0 then begin
+        (* Second chance, decayed: back in at the MRU end. *)
+        Hashtbl.replace t.freq v (c - 1);
+        Lru_core.touch t.main v;
+        evict_one t
+      end
+      else begin
+        Hashtbl.remove t.freq v;
+        v
+      end
     end
 
   let access t x =

@@ -26,9 +26,7 @@ module P = struct
       let need = List.length to_load in
       let evicted = ref [] in
       while Lru_core.size t.recency + need > t.k do
-        match Lru_core.pop_lru t.recency with
-        | Some v -> evicted := v :: !evicted
-        | None -> assert false
+        evicted := Lru_core.pop_lru t.recency :: !evicted
       done;
       (* Prefetches enter below the demand miss in recency order. *)
       List.iter (Lru_core.touch t.recency) (List.rev prefetch);

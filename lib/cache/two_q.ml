@@ -16,22 +16,14 @@ module P = struct
   (* Make room for one incoming item, per the 2Q reclaim rule. *)
   let reclaim t =
     if Lru_core.size t.a1in >= t.in_cap then begin
-      match Lru_core.pop_lru t.a1in with
-      | Some v ->
-          Lru_core.touch t.a1out v;
-          if Lru_core.size t.a1out > t.out_cap then
-            ignore (Lru_core.pop_lru t.a1out);
-          v
-      | None -> assert false
+      let v = Lru_core.pop_lru t.a1in in
+      Lru_core.touch t.a1out v;
+      if Lru_core.size t.a1out > t.out_cap then
+        ignore (Lru_core.pop_lru t.a1out);
+      v
     end
-    else begin
-      match Lru_core.pop_lru t.am with
-      | Some v -> v
-      | None -> (
-          match Lru_core.pop_lru t.a1in with
-          | Some v -> v
-          | None -> assert false)
-    end
+    else if Lru_core.size t.am > 0 then Lru_core.pop_lru t.am
+    else Lru_core.pop_lru t.a1in
 
   let access t x =
     if Lru_core.refresh t.am x then Policy.Hit { evicted = [] }

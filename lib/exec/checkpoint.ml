@@ -12,13 +12,11 @@ type stats = {
   interrupted : bool;
 }
 
-let default_classify exn = ("exception", Printexc.to_string exn)
-
 let journal_error path e =
   failwith (Printf.sprintf "%s: %s" path (Journal.string_of_error e))
 
 let run ?config ?interrupt ?journal ?(resume = false)
-    ?(meta = Gc_obs.Json.Null) ?(classify = default_classify) ~to_error cells =
+    ?(meta = Gc_obs.Json.Null) ~to_error cells =
   let completed : (string, Gc_obs.Json.t) Hashtbl.t = Hashtbl.create 64 in
   let writer =
     match journal with
@@ -59,8 +57,8 @@ let run ?config ?interrupt ?journal ?(resume = false)
         match outcome with
         | Pool.Done payload -> record key payload
         | Pool.Failed exn ->
-            let kind, message = classify exn in
-            record key (to_error ~key ~kind ~message)
+            record key
+              (to_error ~key ~kind:"exception" ~message:(Printexc.to_string exn))
         | Pool.Timed_out deadline ->
             record key
               (to_error ~key ~kind:"timeout"

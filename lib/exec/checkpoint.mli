@@ -30,13 +30,13 @@ val run :
   ?journal:string ->
   ?resume:bool ->
   ?meta:Gc_obs.Json.t ->
-  ?classify:(exn -> string * string) ->
   to_error:(key:string -> kind:string -> message:string -> Gc_obs.Json.t) ->
   (string * (cancel:Cancel.t -> Gc_obs.Json.t)) list ->
   cell list * stats
 (** Results come back in input order regardless of completion order.
-    [classify] maps a task exception to a manifest error [(kind, message)]
-    (default: [("exception", Printexc.to_string exn)]); [to_error] shapes
-    a failed cell's payload from its key and that pair.  An unreadable,
-    corrupt, or mismatched journal raises [Failure] with a positioned
-    diagnostic (a runtime failure under the CLI exit-code contract). *)
+    [to_error] shapes a failed cell's payload from its key, an error kind
+    and a message: kind ["exception"] with [Printexc.to_string] of what
+    the task raised, or kind ["timeout"] for a cell past its deadline.
+    An unreadable, corrupt, or mismatched journal raises [Failure] with a
+    positioned diagnostic (a runtime failure under the CLI exit-code
+    contract). *)

@@ -177,7 +177,6 @@ let worker config task idx cancel started cell release =
       base_delay = config.backoff;
       max_delay = Float.infinity;
       jitter = 0.;
-      budget = None;
     }
   in
   let sleep d =

@@ -3,7 +3,7 @@
     The one retry engine in this tree: {!Pool} retries {!Pool.Transient}
     task failures through it, {!Gc_resil.Resilient_client} its requests,
     and the [unbounded-retry] lint rule flags bare retry loops everywhere
-    else.  Three properties every retry here gets for free:
+    else.  Two properties every retry here gets for free:
 
     - {b capped exponential backoff} — the delay doubles per attempt from
       [base_delay] up to [max_delay], so a down dependency sees an
@@ -12,10 +12,9 @@
       [[1 - jitter, 1] * delay] by a caller-seeded {!Gc_trace.Rng}, so
       concurrent retriers decorrelate {e and} a drill replaying the same
       seed sleeps the same schedule (no [Stdlib.Random], per the
-      [nondeterministic-rng] rule);
-    - {b budget awareness} — an optional total wall-clock [budget]
-      (monotonic {!Gc_prof.Clock}) bounds the whole retry session: no
-      attempt starts after it is spent, whatever [max_attempts] says.
+      [nondeterministic-rng] rule).
+
+    [max_attempts] caps every {!run}: no call makes more attempts.
 
     The driver is [Result]-based on purpose: callers classify their own
     failures first (e.g. {!Gc_serve.Client.error_kind}) and say which are
@@ -31,11 +30,10 @@ type policy = {
       (** Fraction of each delay that is randomized, in [[0, 1]]:
           [0.] = fixed schedule, [0.25] = each delay drawn uniformly
           from [[0.75, 1] * delay]. *)
-  budget : float option;  (** Total wall-clock bound for the session. *)
 }
 
 val default : policy
-(** 4 attempts, 50ms base, 2s cap, 0.25 jitter, no budget. *)
+(** 4 attempts, 50ms base, 2s cap, 0.25 jitter. *)
 
 val delay_for : policy -> rng:Gc_trace.Rng.t -> attempt:int -> float
 (** The jittered delay after failed [attempt] (1-based): draws one value
@@ -44,7 +42,6 @@ val delay_for : policy -> rng:Gc_trace.Rng.t -> attempt:int -> float
 type 'e give_up = {
   attempts : int;  (** Attempts actually made. *)
   last_error : 'e;
-  budget_spent : bool;  (** The budget, not [max_attempts], stopped us. *)
 }
 
 val run :
@@ -55,8 +52,8 @@ val run :
   (attempt:int -> ('a, 'e) result) ->
   ('a, 'e give_up) result
 (** [run ~sleep ~rng ~retryable f] calls [f ~attempt:1], [f ~attempt:2],
-    ... until one succeeds, an error is not [retryable], [max_attempts]
-    is reached, or the budget is spent, calling [sleep] with each backoff
-    delay.  Production callers pass {!Pool.nap} (the EINTR-safe sleep),
-    wrapped when they need to act around the wait; unit tests record the
+    ... until one succeeds, an error is not [retryable], or
+    [max_attempts] is reached, calling [sleep] with each backoff delay.
+    Production callers pass {!Pool.nap} (the EINTR-safe sleep), wrapped
+    when they need to act around the wait; unit tests record the
     schedule instead of waiting it out. *)

@@ -3,13 +3,13 @@ module Json = Gc_obs.Json
 (* Chrome trace-event format ("X" complete events), the JSON dialect
    Perfetto and chrome://tracing load directly.  Timestamps and
    durations are microseconds; the monotonic epoch is arbitrary, which
-   the viewers accept (they normalise to the earliest event). *)
+   the viewers accept (they normalise to the earliest event).  Each
+   event's args carry the span's exact minor words and nothing about the
+   major heap, which a span does not record. *)
 
 let event (s : Tracer.span) =
   let args =
-    ("minor_words", Json.Float s.Tracer.minor_words)
-    :: ("major_words", Json.Float s.Tracer.major_words)
-    :: ("promoted_words", Json.Float s.Tracer.promoted_words)
+    ("minor_words", Json.Float (float_of_int s.Tracer.minor_words))
     :: List.map (fun (k, v) -> (k, Json.String v)) s.Tracer.args
   in
   Json.Obj

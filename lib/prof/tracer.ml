@@ -1,14 +1,12 @@
 (* A completed span, as returned by [dump].  [ts_ns] is a monotonic
-   Clock reading; [dur_ns] the measured extent; the three word counts
-   are Gc.quick_stat deltas across the span. *)
+   Clock reading; [dur_ns] the measured extent; [minor_words] the
+   [Gc.minor_words] delta across the span. *)
 type span = {
   name : string;
   tid : int;
   ts_ns : int;
   dur_ns : int;
-  minor_words : float;
-  major_words : float;
-  promoted_words : float;
+  minor_words : int;
   args : (string * string) list;
 }
 
@@ -16,16 +14,16 @@ type span = {
    writes fields of an existing slot, it never allocates.  [seq] is the
    claim ticket; a [leave] whose ticket no longer matches the slot lost
    the slot to a wraparound or a restart and drops its measurement.
-   [s_dur] is -1 while the span is open; [dump] skips open slots. *)
+   [s_dur] is -1 while the span is open; [dump] skips open slots.
+   [s_minor] is an [int]: a float field of this mixed record would box
+   every write. *)
 type slot = {
   mutable seq : int;
   mutable s_name : string;
   mutable s_tid : int;
   mutable s_ts : int;
   mutable s_dur : int;
-  mutable s_minor : float;
-  mutable s_major : float;
-  mutable s_promoted : float;
+  mutable s_minor : int;
   mutable s_args : (string * string) list;
 }
 
@@ -53,9 +51,7 @@ let fresh_slot _ =
     s_tid = 0;
     s_ts = 0;
     s_dur = -1;
-    s_minor = 0.;
-    s_major = 0.;
-    s_promoted = 0.;
+    s_minor = 0;
     s_args = [];
   }
 
@@ -66,6 +62,11 @@ let round_up_pow2 n =
 let slot_of slots ticket = slots.(ticket land (Array.length slots - 1))
 
 let enabled () = Atomic.get enabled_flag
+
+(* [Gc.minor_words] is an unboxed external: it counts this domain's
+   minor words exactly and allocates nothing, where [Gc.quick_stat]
+   lags by up to a minor heap and allocates its record. *)
+let minor_words () = int_of_float (Gc.minor_words ())
 
 let stop () = Atomic.set enabled_flag false
 
@@ -80,15 +81,12 @@ let enter ?(args = []) ?(tid = -1) name =
     let slots = Atomic.get ring in
     let ticket = Atomic.fetch_and_add next 1 in
     let slot = slot_of slots ticket in
-    let st = Gc.quick_stat () in
     slot.seq <- ticket;
     slot.s_name <- name;
     slot.s_tid <- (if tid >= 0 then tid else (Domain.self () :> int));
     slot.s_dur <- -1;
     slot.s_args <- args;
-    slot.s_minor <- st.Gc.minor_words;
-    slot.s_major <- st.Gc.major_words;
-    slot.s_promoted <- st.Gc.promoted_words;
+    slot.s_minor <- minor_words ();
     slot.s_ts <- Clock.now_ns ();
     ticket
   end
@@ -98,11 +96,8 @@ let leave ticket =
     let stop_ns = Clock.now_ns () in
     let slot = slot_of (Atomic.get ring) ticket in
     if slot.seq = ticket then begin
-      let st = Gc.quick_stat () in
       slot.s_dur <- stop_ns - slot.s_ts;
-      slot.s_minor <- st.Gc.minor_words -. slot.s_minor;
-      slot.s_major <- st.Gc.major_words -. slot.s_major;
-      slot.s_promoted <- st.Gc.promoted_words -. slot.s_promoted
+      slot.s_minor <- minor_words () - slot.s_minor
     end
   end
 
@@ -117,9 +112,7 @@ let emit ?(args = []) ?(tid = -1) ~ts_ns ~dur_ns name =
     slot.s_ts <- ts_ns;
     slot.s_dur <- dur_ns;
     slot.s_args <- args;
-    slot.s_minor <- 0.;
-    slot.s_major <- 0.;
-    slot.s_promoted <- 0.
+    slot.s_minor <- 0
   end
 
 let dump () =
@@ -132,8 +125,6 @@ let dump () =
           ts_ns = slot.s_ts;
           dur_ns = slot.s_dur;
           minor_words = slot.s_minor;
-          major_words = slot.s_major;
-          promoted_words = slot.s_promoted;
           args = slot.s_args;
         }
         :: spans

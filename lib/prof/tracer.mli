@@ -19,9 +19,11 @@ type span = {
   tid : int;  (** domain id, or the caller-supplied thread id *)
   ts_ns : int;  (** monotonic {!Clock} reading at entry *)
   dur_ns : int;
-  minor_words : float;  (** Gc.quick_stat delta across the span *)
-  major_words : float;
-  promoted_words : float;
+  minor_words : int;
+      (** The minor-heap words this domain allocated between [enter] and
+          [leave], exact ([Gc.minor_words]).  Major-heap words are not
+          recorded: no reading of them is both exact and
+          allocation-free. *)
   args : (string * string) list;
 }
 
@@ -59,8 +61,8 @@ val emit :
   string ->
   unit
 (** Record an already-measured span (for phases whose start predates the
-    recording call, e.g. queue wait measured at dequeue).  GC deltas are
-    zero for emitted spans. *)
+    recording call, e.g. queue wait measured at dequeue).  Emitted spans
+    record 0 minor words. *)
 
 val dump : unit -> span list
 (** Every completed span in the ring, from all domains, sorted by start

@@ -1,5 +1,3 @@
-module Clock = Gc_prof.Clock
-
 type state = Closed | Open | Half_open
 
 let state_name = function
@@ -7,35 +5,28 @@ let state_name = function
   | Open -> "open"
   | Half_open -> "half-open"
 
-type config = {
-  window : int;
-  min_samples : int;
-  failure_threshold : float;
-  cooldown : float;
-}
-
-let default_config =
-  { window = 20; min_samples = 5; failure_threshold = 0.5; cooldown = 1. }
+(* The outcomes remembered, the outcomes needed before the rate can trip,
+   the failure fraction that opens, and the seconds open before the
+   half-open probe. *)
+let window = 20
+let min_samples = 5
+let failure_threshold = 0.5
+let cooldown = 1.
 
 type t = {
-  cfg : config;
   mu : Mutex.t;
   ring : bool array;  (** [true] = failure. *)
   mutable filled : int;  (** Valid entries, [<= window]. *)
   mutable next : int;  (** Ring write cursor. *)
   mutable st : state;
-  mutable opened_at : float;  (** Monotonic; meaningful while [Open]. *)
+  mutable opened_at : float;  (** Meaningful while [Open]. *)
   mutable probe_inflight : bool;  (** The single half-open probe slot. *)
 }
 
-let create ?(config = default_config) () =
-  if config.window < 1 then invalid_arg "Breaker.create: window must be >= 1";
-  if config.failure_threshold < 0. || config.failure_threshold > 1. then
-    invalid_arg "Breaker.create: failure_threshold must be in [0, 1]";
+let create () =
   {
-    cfg = config;
     mu = Mutex.create ();
-    ring = Array.make config.window false;
+    ring = Array.make window false;
     filled = 0;
     next = 0;
     st = Closed;
@@ -63,7 +54,7 @@ let reset_window_locked t =
   t.filled <- 0;
   t.next <- 0
 
-let allow t =
+let allow t ~now =
   locked t (fun () ->
       match t.st with
       | Closed -> true
@@ -76,20 +67,20 @@ let allow t =
             true
           end
       | Open ->
-          if Clock.now_s () -. t.opened_at >= t.cfg.cooldown then begin
+          if now -. t.opened_at >= cooldown then begin
             t.st <- Half_open;
             t.probe_inflight <- true;
             true
           end
           else false)
 
-let trip_locked t =
+let trip_locked t ~now =
   t.st <- Open;
-  t.opened_at <- Clock.now_s ();
+  t.opened_at <- now;
   t.probe_inflight <- false;
   reset_window_locked t
 
-let record t ~ok =
+let record t ~now ~ok =
   locked t (fun () ->
       match t.st with
       | Half_open ->
@@ -98,18 +89,16 @@ let record t ~ok =
             t.st <- Closed;
             reset_window_locked t
           end
-          else trip_locked t
+          else trip_locked t ~now
       | Open ->
           (* A straggler from before the trip; the window was reset, so
              just drop it. *)
           ()
       | Closed ->
           t.ring.(t.next) <- not ok;
-          t.next <- (t.next + 1) mod t.cfg.window;
-          if t.filled < t.cfg.window then t.filled <- t.filled + 1;
-          if
-            t.filled >= t.cfg.min_samples
-            && rate_locked t >= t.cfg.failure_threshold
-          then trip_locked t)
+          t.next <- (t.next + 1) mod window;
+          if t.filled < window then t.filled <- t.filled + 1;
+          if t.filled >= min_samples && rate_locked t >= failure_threshold
+          then trip_locked t ~now)
 
 let state t = locked t (fun () -> t.st)

@@ -3,15 +3,19 @@
     Classic three-state machine over a sliding window of outcomes:
 
     - {b Closed} — normal operation.  Every outcome lands in a ring of
-      the last [window] calls; when at least [min_samples] are present
-      and the failure fraction reaches [failure_threshold], the breaker
-      opens.
+      the last 20 calls; when at least 5 are present and at least half
+      of them failed, the breaker opens.
     - {b Open} — calls are refused ({!allow} is [false]) without touching
-      the dependency, for [cooldown] seconds on the monotonic
-      {!Gc_prof.Clock}.
+      the dependency, for 1 second.
     - {b Half_open} — after the cooldown, exactly one probe call is let
       through.  Its success closes the breaker (window reset); its
       failure re-opens it for another cooldown.
+
+    The window, the thresholds and the cooldown are constants.  Time is
+    passed in by the caller as [~now], a monotonic reading in seconds
+    (the client passes {!Gc_prof.Clock.now_s}), never read here, as
+    {!Gc_admit.Codel} and {!Gc_admit.Aimd} take it: tests step a clock
+    through the state machine instead of sleeping.
 
     Thread-safe (one mutex). *)
 
@@ -20,25 +24,16 @@ type state = Closed | Open | Half_open
 val state_name : state -> string
 (** ["closed" | "open" | "half-open"]. *)
 
-type config = {
-  window : int;  (** Outcomes remembered ([>= 1]). *)
-  min_samples : int;  (** Outcomes required before the rate can trip. *)
-  failure_threshold : float;  (** Failure fraction in [[0, 1]] that opens. *)
-  cooldown : float;  (** Seconds open before the half-open probe. *)
-}
-
-val default_config : config
-(** Window 20, min 5 samples, threshold 0.5, cooldown 1s. *)
-
 type t
 
-val create : ?config:config -> unit -> t
+val create : unit -> t
 
-val allow : t -> bool
-(** May a call proceed right now?  Moves [Open -> Half_open] when the
+val allow : t -> now:float -> bool
+(** May a call proceed at [now]?  Moves [Open -> Half_open] when the
     cooldown has passed (claiming the single probe slot). *)
 
-val record : t -> ok:bool -> unit
-(** Report the outcome of an allowed call. *)
+val record : t -> now:float -> ok:bool -> unit
+(** Report the outcome of an allowed call; a trip opens the breaker at
+    [now]. *)
 
 val state : t -> state

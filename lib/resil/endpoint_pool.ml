@@ -12,12 +12,10 @@ let default_config = { reprobe_after = 0.5; reprobe_max = 10.; p2c = true }
 
 (* The fixed part of the health machine: the first failure makes an
    endpoint Suspect, the third Down; re-probe delays carry 25% jitter;
-   the latency EWMA weighs the newest sample 0.3; the hedge quantile
-   reads the last 64 successes. *)
+   the latency EWMA weighs the newest sample 0.3. *)
 let down_after = 3
 let reprobe_jitter = 0.25
 let ewma_alpha = 0.3
-let latency_window = 64
 
 type endpoint = {
   e_addr : Client.addr;
@@ -32,8 +30,6 @@ type t = {
   mu : Mutex.t;
   rng : Rng.t;
   eps : endpoint array;
-  lat : float array;  (* ring of recent success latencies, seconds *)
-  mutable lat_n : int;  (* total samples recorded *)
   mutable cursor : int;  (* rotation cursor for the non-p2c path *)
 }
 
@@ -53,8 +49,6 @@ let create ?(config = default_config) ~seed addrs =
     mu = Mutex.create ();
     rng = Rng.create seed;
     eps = Array.of_list (List.map ep addrs);
-    lat = Array.make latency_window (-1.);
-    lat_n = 0;
     cursor = -1;
   }
 
@@ -152,9 +146,7 @@ let note_ok t i ~latency_s =
       ep.e_ewma <-
         (if ep.e_ewma < 0. then latency_s
          else
-           (ewma_alpha *. latency_s) +. ((1. -. ewma_alpha) *. ep.e_ewma));
-      t.lat.(t.lat_n mod latency_window) <- latency_s;
-      t.lat_n <- t.lat_n + 1)
+           (ewma_alpha *. latency_s) +. ((1. -. ewma_alpha) *. ep.e_ewma)))
 
 let note_failure t i = locked t (fun () -> mark_failed t t.eps.(i))
 
@@ -167,17 +159,3 @@ let due_probes t =
   locked t (fun () ->
       let now = Clock.now_s () in
       indices_where t (fun _ ep -> ep.e_state <> Up && now >= ep.e_next_probe))
-
-let latency_quantile t q =
-  locked t (fun () ->
-      let n = min t.lat_n latency_window in
-      if n = 0 then None
-      else begin
-        let samples = Array.sub t.lat 0 n in
-        Array.sort Float.compare samples;
-        let q = Float.max 0. (Float.min 1. q) in
-        let rank =
-          min (n - 1) (Float.to_int (Float.round (q *. Float.of_int (n - 1))))
-        in
-        Some samples.(rank)
-      end)

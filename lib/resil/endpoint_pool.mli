@@ -17,7 +17,8 @@
     faster.  Until two candidates have latency samples — or when [p2c]
     is off — the pool falls back to a rotating cursor, which is fully
     deterministic under a fixed request order (the chaos drills rely on
-    this).
+    this).  The EWMA is the only latency the pool keeps: a hedging
+    client's delay is the caller's fixed setting, not read from here.
 
     The pool never dials anything: callers report outcomes via
     {!note_ok} / {!note_failure} (or {!note_probe} for out-of-band
@@ -39,8 +40,7 @@ type config = {
 
 val default_config : config
 (** Re-probe 0.5s doubling to 10s, p2c on.  The latency EWMA weighs the
-    newest sample 0.3, and {!latency_quantile} reads the last 64
-    successes. *)
+    newest sample 0.3. *)
 
 type t
 
@@ -61,8 +61,7 @@ val pick : ?avoid:int list -> t -> int
 
 val note_ok : t -> int -> latency_s:float -> unit
 (** A request to endpoint [i] succeeded in [latency_s] seconds: reset it
-    to Up and fold the sample into its EWMA and the pool's latency
-    ring. *)
+    to Up and fold the sample into its EWMA. *)
 
 val note_failure : t -> int -> unit
 (** A request to endpoint [i] failed at transport level: bump its
@@ -72,13 +71,8 @@ val note_failure : t -> int -> unit
 val note_probe : t -> int -> ok:bool -> unit
 (** Outcome of an out-of-band health probe: success restores Up (no
     latency sample — probes answer from a hot path and would skew the
-    hedge quantile), failure re-parks the endpoint. *)
+    EWMA), failure re-parks the endpoint. *)
 
 val due_probes : t -> int list
 (** Non-Up endpoints whose re-probe deadline has passed, in index order
     — the set an external prober should health-check now. *)
-
-val latency_quantile : t -> float -> float option
-(** [latency_quantile t q] is the nearest-rank [q]-quantile of the
-    pool-wide ring of recent success latencies, or [None] before the
-    first sample.  Feeds the hedge-delay computation. *)

@@ -74,14 +74,17 @@ let chan_cancel ch =
 let chan_reconnects ch = chan_locked ch (fun () -> ch.c_reconnects)
 
 let chan_allows ch =
-  match ch.c_breaker with None -> true | Some b -> Breaker.allow b
+  match ch.c_breaker with
+  | None -> true
+  | Some b -> Breaker.allow b ~now:(Clock.now_s ())
 
 let chan_closed ch =
   match ch.c_breaker with
   | None -> true
   | Some b -> Breaker.state b = Breaker.Closed
 
-let chan_record ch ~ok = Option.iter (fun b -> Breaker.record b ~ok) ch.c_breaker
+let chan_record ch ~ok =
+  Option.iter (fun b -> Breaker.record b ~now:(Clock.now_s ()) ~ok) ch.c_breaker
 
 (* One attempt's failure, classified for the retry predicate. *)
 type attempt_error =
@@ -179,23 +182,13 @@ let failure_of_give_up = function
 
 (* ------------------------------------------------------------ client *)
 
-type hedge_config = {
-  quantile : float;
-  min_delay : float;
-  max_delay : float;
-  initial_delay : float;
-}
-
-let default_hedge =
-  { quantile = 0.9; min_delay = 0.01; max_delay = 0.5; initial_delay = 0.05 }
-
 type t = {
   pool : Endpoint_pool.t;
   chans : chan array;
   timeout : float;
   retry : Retry.policy;
   retry_budget : Token_bucket.t option;
-  hedge : hedge_config option;
+  hedge : float option;  (** The hedge delay, seconds. *)
   probe_timeout : float;
   rng : Gc_trace.Rng.t;
   mu : Mutex.t;  (** Serialises requests: one frame in flight per conn. *)
@@ -290,11 +283,6 @@ let attempt_ep t i json sent_id hint =
     r
   end
 
-let hedge_delay t h =
-  match Endpoint_pool.latency_quantile t.pool h.quantile with
-  | None -> h.initial_delay
-  | Some l -> Float.max h.min_delay (Float.min h.max_delay l)
-
 (* Hedge targets must have a Closed breaker: [Breaker.allow] on a
    Closed breaker has no side effect, so a cancelled loser can never
    strand the half-open probe slot. *)
@@ -314,7 +302,7 @@ let hedge_target t ~primary =
    each attempt runs on its own per-endpoint channel, and a late reply
    left on a cancelled channel can never be taken for a later
    request's answer. *)
-let hedged_attempt t h primary json sent_id hint =
+let hedged_attempt t delay primary json sent_id hint =
   let rmu = Mutex.create () in
   let rcond = Condition.create () in
   let finished = ref [] in (* (endpoint, result, latency), completion order *)
@@ -338,7 +326,6 @@ let hedged_attempt t h primary json sent_id hint =
   let th_primary =
     Thread.create run primary [@lint.allow "spawn-outside-pool"]
   in
-  let delay = hedge_delay t h in
   let hedger () =
     (* Nap in slices: a race the primary already settled releases this
        thread early instead of after the full delay. *)
@@ -438,11 +425,11 @@ let hedged_attempt t h primary json sent_id hint =
 
 let attempt_on t ~idempotent i json sent_id hint =
   match t.hedge with
-  | Some h
+  | Some delay
     when idempotent
          && Endpoint_pool.length t.pool > 1
          && chan_closed t.chans.(i) ->
-      hedged_attempt t h i json sent_id hint
+      hedged_attempt t delay i json sent_id hint
   | _ -> attempt_ep t i json sent_id hint
 
 (* Transport-level failures of idempotent requests fail over to

@@ -46,18 +46,15 @@
       open is skipped before anything is sent (safe even for
       non-idempotent requests).  Backoff only happens between whole
       rounds, when every eligible replica has failed;
-    - {b per-endpoint breakers} — one {!Breaker} (default config) per
-      replica, so a single melting endpoint trips in isolation while the
+    - {b per-endpoint breakers} — one {!Breaker} per replica, so a single melting endpoint trips in isolation while the
       rest of the set keeps serving.  A one-endpoint client has no
       breaker: with nowhere else to route, an open circuit could only
       turn its retries into {!Open_circuit};
     - {b hedged requests} (opt-in) — when an idempotent request has not
-      settled within a hedge delay derived from a latency quantile
-      (clamped to [[min_delay, max_delay]]; [initial_delay] before the
-      first sample), a second attempt fires at another Up replica.
-      First reply wins; the loser's blocked read is woken by a socket
-      shutdown and its result discarded, which the id-echo dedupe makes
-      safe.  Hedges only target replicas with a Closed breaker, so a
+      settled within a fixed hedge delay, a second attempt fires at
+      another Up replica.  First reply wins; the loser's blocked read is
+      woken by a socket shutdown and its result discarded, which the
+      id-echo dedupe makes safe.  Hedges only target replicas with a Closed breaker, so a
       cancelled loser can never strand the half-open probe slot.
 
     Other error replies (usage, timeout, exception, model-violation) are
@@ -76,21 +73,11 @@ type failure =
 
 val string_of_failure : failure -> string
 
-type hedge_config = {
-  quantile : float;  (** Latency quantile that sets the hedge delay. *)
-  min_delay : float;  (** Clamp floor, seconds. *)
-  max_delay : float;  (** Clamp ceiling, seconds. *)
-  initial_delay : float;  (** Delay before any latency sample exists. *)
-}
-
-val default_hedge : hedge_config
-(** p90, clamped to [[10ms, 500ms]], 50ms before the first sample. *)
-
 val create_set :
   ?timeout:float ->
   ?retry:Gc_exec.Retry.policy ->
   ?retry_budget:Gc_admit.Token_bucket.t option ->
-  ?hedge:hedge_config ->
+  ?hedge:float ->
   ?pool_config:Endpoint_pool.config ->
   ?seed:int ->
   Gc_serve.Client.addr list ->
@@ -101,10 +88,10 @@ val create_set :
     replays the backoff schedule.  [retry_budget] defaults to a fresh
     {!Gc_admit.Token_bucket} with its defaults (10 tokens, 0.2 per
     success); [None] disables budgeting, [Some b] shares [b].  [hedge]
-    absent disables hedging.  Requests on one [t] are serialized — give
-    each thread its own [t].  Down endpoints recover through
-    live-traffic re-probes, or sooner through {!probe}.  Raises
-    [Invalid_argument] on an empty endpoint list. *)
+    is the hedge delay in seconds; absent, hedging is off.  Requests on
+    one [t] are serialized — give each thread its own [t].  Down
+    endpoints recover through live-traffic re-probes, or sooner through
+    {!probe}.  Raises [Invalid_argument] on an empty endpoint list. *)
 
 val create :
   ?timeout:float ->

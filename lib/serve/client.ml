@@ -96,10 +96,8 @@ let send_result fd json =
           message = Printf.sprintf "send failed: %s" (Unix.error_message e);
         }
 
-let recv_result ?max_frame ?(timeout = 60.) fd =
-  match
-    Frame.read_fd ?max_frame ~idle_timeout:timeout ~frame_timeout:timeout fd
-  with
+let recv_result ?(timeout = 60.) fd =
+  match Frame.read_fd ~idle_timeout:timeout ~frame_timeout:timeout fd with
   | Frame.Frame json -> Ok json
   | Frame.Eof -> Error { kind = Reset; message = "connection closed by server" }
   | Frame.Bad_payload e | Frame.Fault e ->

@@ -38,10 +38,10 @@ val close : conn -> unit
 val send_result : conn -> Gc_obs.Json.t -> (unit, error) result
 (** Frame and send one document; a gone peer is [Reset]. *)
 
-val recv_result :
-  ?max_frame:int -> ?timeout:float -> conn -> (Gc_obs.Json.t, error) result
-(** Await one framed document (default timeout 60s): EOF is [Reset],
-    framing faults are [Protocol], expiry is [Timeout]. *)
+val recv_result : ?timeout:float -> conn -> (Gc_obs.Json.t, error) result
+(** Await one framed document of at most {!Frame.default_max_frame}
+    bytes (default timeout 60s): EOF is [Reset], framing faults are
+    [Protocol], expiry is [Timeout]. *)
 
 val request_result :
   ?timeout:float ->

@@ -21,7 +21,6 @@ type config = {
   backoff : float;
   max_frame : int;
   frame_timeout : float;
-  write_timeout : float;
   max_connections : int;
   codel_target : float;
   codel_interval : float;
@@ -44,7 +43,6 @@ let default_config =
     backoff = 0.05;
     max_frame = Frame.default_max_frame;
     frame_timeout = 10.;
-    write_timeout = 5.;
     max_connections = 256;
     codel_target = 0.1;
     codel_interval = 0.5;
@@ -53,6 +51,10 @@ let default_config =
     trace = None;
     name = None;
   }
+
+(* A write to a client that stops reading gives up after this many
+   seconds. *)
+let write_timeout = 5.
 
 (* Request-path spans.  Worker and reader sys-threads share domain 0, so
    the thread id is the Perfetto track; the request id rides in the span
@@ -665,7 +667,7 @@ let reader t conn =
 (* ------------------------------------------------------------- accepting *)
 
 let register_conn t cfd =
-  (try Unix.setsockopt_float cfd Unix.SO_SNDTIMEO t.config.write_timeout
+  (try Unix.setsockopt_float cfd Unix.SO_SNDTIMEO write_timeout
    with Unix.Unix_error _ | Invalid_argument _ -> ());
   Registry.incr t.c_accepted;
   Mutex.lock t.mu;

@@ -48,7 +48,6 @@ type config = {
   backoff : float;  (** Base retry sleep, doubling per attempt. *)
   max_frame : int;  (** Frame payload cap, bytes. *)
   frame_timeout : float;  (** Whole-frame delivery budget (slow-loris guard). *)
-  write_timeout : float;  (** Per-write budget to a non-reading client. *)
   max_connections : int;
   codel_target : float;
       (** Acceptable queue sojourn, seconds; [<= 0.] disables sojourn
@@ -75,9 +74,10 @@ type config = {
 val default_config : config
 (** No listeners configured (callers must set at least one); queue 64,
     workers = cores - 1 (min 1), min_workers 1, deadline 30s, grace
-    0.25s, 1 retry, 1 MiB frames, 10s frame timeout, 5s write timeout,
-    256 connections, CoDel target 100ms / interval 500ms, retry-after
-    base 100ms, seed 0. *)
+    0.25s, 1 retry, 1 MiB frames, 10s frame timeout, 256 connections,
+    CoDel target 100ms / interval 500ms, retry-after base 100ms, seed 0.
+    A write to a client that stops reading times out after 5s, a
+    constant. *)
 
 type t
 

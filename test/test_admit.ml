@@ -41,7 +41,7 @@ let replay ops b =
 
 let fuzz_bucket_never_exceeds =
   fuzz "bucket: takes never exceed initial + refills" arbitrary_ops (fun ops ->
-      let b = Token_bucket.create ~capacity:10. ~refill_per_success:0.2 () in
+      let b = Token_bucket.create ~capacity:10. () in
       let taken = ref 0 and successes = ref 0 in
       List.iter
         (fun take ->
@@ -60,7 +60,7 @@ let fuzz_bucket_never_exceeds =
 
 let fuzz_bucket_level_bounded =
   fuzz "bucket: level stays within [0, capacity]" arbitrary_ops (fun ops ->
-      let b = Token_bucket.create ~capacity:10. ~refill_per_success:0.2 () in
+      let b = Token_bucket.create ~capacity:10. () in
       List.for_all
         (fun take ->
           if take then ignore (Token_bucket.try_take b)
@@ -71,14 +71,13 @@ let fuzz_bucket_level_bounded =
 
 let fuzz_bucket_exact_cap =
   (* The drift clamp's contract, with no epsilon: whatever fractional
-     capacity and refill are in play, and however takes and successes
+     capacity is in play, and however takes and 0.2-token refills
      interleave, the level never leaves [0, capacity] — not even by one
      ulp of accumulated float error. *)
   fuzz "bucket: fractional refills never carry the level past capacity"
-    QCheck.(
-      triple (float_range 0.5 20.) (float_range 0.001 3.) arbitrary_ops)
-    (fun (capacity, refill_per_success, ops) ->
-      let b = Token_bucket.create ~capacity ~refill_per_success () in
+    QCheck.(pair (float_range 0.5 20.) arbitrary_ops)
+    (fun (capacity, ops) ->
+      let b = Token_bucket.create ~capacity () in
       List.for_all
         (fun take ->
           if take then ignore (Token_bucket.try_take b)
@@ -90,22 +89,29 @@ let fuzz_bucket_exact_cap =
 let fuzz_bucket_deterministic =
   fuzz "bucket: same ops, same grants (no hidden clock)" arbitrary_ops
     (fun ops ->
-      let mk () = Token_bucket.create ~capacity:10. ~refill_per_success:0.2 () in
+      let mk () = Token_bucket.create ~capacity:10. () in
       replay ops (mk ()) = replay ops (mk ()))
 
+let successes b n =
+  for _ = 1 to n do
+    Token_bucket.on_success b
+  done
+
 let test_bucket_refills_on_success () =
-  let b = Token_bucket.create ~capacity:2. ~refill_per_success:1. () in
+  let b = Token_bucket.create ~capacity:2. () in
   Alcotest.(check bool) "take 1" true (Token_bucket.try_take b);
   Alcotest.(check bool) "take 2" true (Token_bucket.try_take b);
   Alcotest.(check bool) "empty" false (Token_bucket.try_take b);
   Alcotest.(check int) "denial counted" 1 (Token_bucket.denied b);
-  Token_bucket.on_success b;
+  (* 0.2 tokens per success: four successes are not yet a retry, the
+     fifth is. *)
+  successes b 4;
+  Alcotest.(check bool) "not yet refilled" false (Token_bucket.try_take b);
+  successes b 1;
   Alcotest.(check bool) "refilled" true (Token_bucket.try_take b);
-  (* Refill saturates at capacity: three successes cannot bank more than
-     two takes. *)
-  Token_bucket.on_success b;
-  Token_bucket.on_success b;
-  Token_bucket.on_success b;
+  (* Refill saturates at capacity: fifteen successes cannot bank more
+     than two takes. *)
+  successes b 15;
   Alcotest.(check bool) "take a" true (Token_bucket.try_take b);
   Alcotest.(check bool) "take b" true (Token_bucket.try_take b);
   Alcotest.(check bool) "capped" false (Token_bucket.try_take b)
@@ -219,20 +225,20 @@ let fuzz_aimd_bounded =
         ops)
 
 let test_aimd_shape () =
-  let a = Aimd.create ~beta:0.5 ~cooldown:1. ~min_limit:1 ~max_limit:8 () in
-  Alcotest.(check int) "starts wide" 8 (Aimd.limit a);
+  let a = Aimd.create ~cooldown:1. ~min_limit:1 ~max_limit:10 () in
+  Alcotest.(check int) "starts wide" 10 (Aimd.limit a);
   Aimd.on_congestion a ~now:10.;
-  Alcotest.(check int) "halved" 4 (Aimd.limit a);
+  Alcotest.(check int) "cut to 0.7" 7 (Aimd.limit a);
   (* Inside the cooldown a second congestion signal is the same incident
-     and must not halve again. *)
+     and must not cut again. *)
   Aimd.on_congestion a ~now:10.5;
-  Alcotest.(check int) "cooldown holds" 4 (Aimd.limit a);
+  Alcotest.(check int) "cooldown holds" 7 (Aimd.limit a);
   Aimd.on_congestion a ~now:11.5;
-  Alcotest.(check int) "halved again" 2 (Aimd.limit a);
+  Alcotest.(check int) "cut again, floored" 4 (Aimd.limit a);
   for _ = 1 to 100 do
     Aimd.on_success a
   done;
-  Alcotest.(check int) "additive recovery reaches max" 8 (Aimd.limit a)
+  Alcotest.(check int) "additive recovery reaches max" 10 (Aimd.limit a)
 
 (* ------------------------------------------------------------ codel *)
 

@@ -15,10 +15,12 @@ let test_lru_core_order () =
   Alcotest.(check (option int)) "mru" (Some 1) (Lru_core.mru l);
   Lru_core.remove l 3;
   Alcotest.(check (list int)) "after remove" [ 1; 2 ] (Lru_core.to_list_mru_first l);
-  Alcotest.(check (option int)) "pop" (Some 2) (Lru_core.pop_lru l);
-  Alcotest.(check (option int)) "pop" (Some 1) (Lru_core.pop_lru l);
-  Alcotest.(check (option int)) "empty" None (Lru_core.pop_lru l);
-  Alcotest.(check int) "size" 0 (Lru_core.size l)
+  Alcotest.(check int) "pop" 2 (Lru_core.pop_lru l);
+  Alcotest.(check int) "pop" 1 (Lru_core.pop_lru l);
+  Alcotest.(check int) "size" 0 (Lru_core.size l);
+  match Lru_core.pop_lru l with
+  | exception Assert_failure _ -> ()
+  | v -> Alcotest.failf "popped %d from an empty list" v
 
 let test_lru_core_insert_if_absent () =
   let l = Lru_core.create () in
@@ -143,10 +145,10 @@ let lru_core_model_step l model (op, key) =
         Lru_core.remove l key;
         (without key, true)
     | Pop -> (
-        let got = Lru_core.pop_lru l in
+        (* [pop_lru] requires a non-empty list, as its callers ensure. *)
         match model_lru model with
-        | None -> (model, got = None)
-        | Some v -> (without v, got = Some v))
+        | None -> (model, true)
+        | Some v -> (without v, Lru_core.pop_lru l = v))
     | Lru -> (model, Lru_core.lru l = model_lru model)
     | Mru -> (model, Lru_core.mru l = model_mru model)
   in

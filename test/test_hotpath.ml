@@ -379,7 +379,7 @@ let test_miss_budgets () =
           if raw /. misses > budget then
             Alcotest.failf "%s k=%d: %.2f words per raw miss, budget %.0f" name k (raw /. misses)
               budget)
-        [ ("lru", 1, 11.); ("block-lru", block_size, 5.) ])
+        [ ("lru", 1, 9.); ("block-lru", block_size, 3.) ])
     capacities
 
 (* Words allocated in the minor heap, and in the major heap directly

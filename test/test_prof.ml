@@ -65,7 +65,7 @@ let test_emit_premeasured () =
       Alcotest.(check int) "caller timestamp kept" 500 s.Tracer.ts_ns;
       Alcotest.(check int) "caller duration kept" 100 s.Tracer.dur_ns;
       Alcotest.(check int) "caller track kept" 42 s.Tracer.tid;
-      Alcotest.(check (float 0.)) "emitted spans carry no GC delta" 0.
+      Alcotest.(check int) "emitted spans record no words" 0
         s.Tracer.minor_words
   | spans -> Alcotest.failf "expected 1 span, got %d" (List.length spans)
 
@@ -145,6 +145,28 @@ let test_memory_flat_across_domains () =
   if grown >= 1_000_000 then
     Alcotest.failf "live heap grew %d words over 200 traced domains" grown
 
+let test_span_minor_words_exact () =
+  Tracer.start ();
+  let outer = Tracer.enter "outer" in
+  let inner = Tracer.enter "inner" in
+  ignore (Sys.opaque_identity (Array.make 100 0));
+  Tracer.leave inner;
+  Tracer.leave outer;
+  let empty = Tracer.enter "empty" in
+  Tracer.leave empty;
+  Tracer.stop ();
+  let words name =
+    match find_spans name (Tracer.dump ()) with
+    | [ s ] -> s.Tracer.minor_words
+    | _ -> Alcotest.failf "no %s span" name
+  in
+  (* 100 fields and a header, counted when they are allocated, not at
+     the next minor collection. *)
+  Alcotest.(check int) "Array.make 100 is 101 minor words" 101 (words "inner");
+  Alcotest.(check int) "the enclosing span sees the same words" 101
+    (words "outer");
+  Alcotest.(check int) "an empty span records 0" 0 (words "empty")
+
 let test_span_with_exception () =
   Tracer.start ();
   (match Span.with_ "boom" (fun () -> raise Exit) with
@@ -193,7 +215,9 @@ let test_chrome_event_fields () =
     (Json.get_float (member "dur"));
   match Json.member "minor_words" (member "args") with
   | Some (Json.Float w) ->
-      Test_util.check_float ~eps:1e-9 "gc delta in args" s.Tracer.minor_words w
+      Test_util.check_float ~eps:1e-9 "minor words in args"
+        (float_of_int s.Tracer.minor_words)
+        w
   | _ -> Alcotest.fail "args carry no minor_words"
 
 (* ------------------------------------------------------- pool concurrency *)
@@ -310,6 +334,22 @@ let test_disabled_zero_alloc () =
   in
   Alcotest.(check (float 0.))
     "10k disabled enter/leave pairs allocate zero words" baseline cost
+
+let test_enabled_zero_alloc () =
+  Tracer.start ();
+  (* Calibrated like the disabled path: recording a span writes into a
+     preallocated slot and reads unboxed counters, so 10k enabled pairs
+     add nothing to the empty bracket. *)
+  let baseline = measure (fun () -> ()) in
+  let cost =
+    measure (fun () ->
+        for _ = 1 to 10_000 do
+          Tracer.leave (Tracer.enter "hot")
+        done)
+  in
+  Tracer.stop ();
+  Alcotest.(check (float 0.))
+    "10k enabled enter/leave pairs allocate zero words" baseline cost
 
 let test_simulator_hook_zero_alloc () =
   Tracer.stop ();
@@ -463,6 +503,8 @@ let () =
             test_memory_flat_across_domains;
           Alcotest.test_case "with_ closes on exception" `Quick
             test_span_with_exception;
+          Alcotest.test_case "spans record exact minor words" `Quick
+            test_span_minor_words_exact;
         ] );
       ( "chrome",
         [
@@ -479,6 +521,8 @@ let () =
         [
           Alcotest.test_case "disabled path is allocation-free" `Quick
             test_disabled_zero_alloc;
+          Alcotest.test_case "enabled path is allocation-free" `Quick
+            test_enabled_zero_alloc;
           Alcotest.test_case "simulator hook adds nothing" `Quick
             test_simulator_hook_zero_alloc;
         ] );

@@ -277,37 +277,28 @@ let build_golden_manifest () =
     | Error f ->
         Alcotest.failf "golden run failed: %s" f.Gc_cache.Obs_run.message
   in
-  Gc_cache.Obs_run.manifest ~tool:"gcsim" ~command:"run" ~seed:1 ~k:8
+  Gc_cache.Obs_run.manifest_of_outcomes ~tool:"gcsim" ~command:"run" ~seed:1
+    ~k:8
     ~trace:(Gc_cache.Obs_run.trace_info ~path:"golden.gct" trace)
-    ~wall_time_s:123.456 [ result ]
+    ~wall_time_s:123.456 [ Ok result ]
 
 (* Hand-built span records with fixed timestamps: the input both to the
    Chrome-export golden check in test_prof and to regen_golden.  Covers
-   nesting on one track, a second track, GC-delta args, caller args, and
-   an emitted (zero-GC) span; kept sorted by start time like a real
+   nesting on one track, a second track, minor-word args, caller args,
+   and an emitted (zero-word) span; kept sorted by start time like a real
    [Tracer.dump]. *)
 let chrome_fixture_spans =
-  let span ?(args = []) ?(minor = 0.) ?(major = 0.) ?(promoted = 0.) ~tid
-      ~ts_ns ~dur_ns name =
-    {
-      Gc_prof.Tracer.name;
-      tid;
-      ts_ns;
-      dur_ns;
-      minor_words = minor;
-      major_words = major;
-      promoted_words = promoted;
-      args;
-    }
+  let span ?(args = []) ?(minor = 0) ~tid ~ts_ns ~dur_ns name =
+    { Gc_prof.Tracer.name; tid; ts_ns; dur_ns; minor_words = minor; args }
   in
   [
     span ~tid:0 ~ts_ns:1_000 ~dur_ns:9_500_000 "run_policy"
       ~args:[ ("policy", "lru"); ("k", "256") ]
-      ~minor:80_000. ~major:512. ~promoted:128.;
-    span ~tid:0 ~ts_ns:2_000 ~dur_ns:4_000_000 "sim.chunk" ~minor:40_000.;
+      ~minor:80_000;
+    span ~tid:0 ~ts_ns:2_000 ~dur_ns:4_000_000 "sim.chunk" ~minor:40_000;
     span ~tid:1 ~ts_ns:1_500_000 ~dur_ns:2_500_000 "pool.task"
       ~args:[ ("task", "3") ]
-      ~minor:1_024.;
+      ~minor:1_024;
     span ~tid:1 ~ts_ns:3_000_000 ~dur_ns:750_000 "queue-wait"
       ~args:[ ("id", "7") ];
   ]
