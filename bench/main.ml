@@ -177,7 +177,7 @@ let figure2 () =
          items 0-1 = A's active set, 2 = B's, 3-5 = C's@.@.%s@."
         cost
         (Gc_plot.Occupancy.render ~trace:rsmall.Gc_offline.Reduction.trace
-           ~schedule:sched ())
+           ~schedule:sched)
   | Error e -> Format.printf "schedule invalid: %s@." e);
   Format.printf
     "Exactly the paper's Figure 2: active sets load and evict as units,@.\
@@ -360,7 +360,7 @@ let figure5 () =
         "@.space-time occupancy of a size-4 clairvoyant cache (cost %d) on@.\
          trace A1 B1 A2 B1 A3 B1 A1 A2 A3 (A = {1,2,3}, B1 = 10):@.@.%s@."
         cost
-        (Gc_plot.Occupancy.render ~trace:fig_trace ~schedule:sched ())
+        (Gc_plot.Occupancy.render ~trace:fig_trace ~schedule:sched)
   | Error e -> Format.printf "schedule error: %s@." e);
   Format.printf
     "@.Measured ratios stay below the layer bounds of Theorems 5/6; the@.\

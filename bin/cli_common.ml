@@ -145,13 +145,6 @@ let deadline_arg =
            cancelled (a wedged one abandoned) and recorded as a \
            $(b,timeout) error slot; the rest of the sweep continues.")
 
-let retries_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "retries" ] ~docv:"N"
-        ~doc:"Extra attempts for transiently failing cells (default 1).")
-
 let domains_arg =
   Arg.(
     value
@@ -167,7 +160,7 @@ let journal_mode ~journal ~resume =
   | None, Some path -> (Some path, true)
   | journal, None -> (journal, false)
 
-let pool_config ?domains ?deadline ?retries () =
+let pool_config ?domains ?deadline () =
   let c = Gc_exec.Pool.default_config () in
   {
     c with
@@ -177,7 +170,6 @@ let pool_config ?domains ?deadline ?retries () =
       | Some d -> Printf.ksprintf invalid_arg "--domains must be >= 1, got %d" d
       | None -> c.Gc_exec.Pool.domains);
     deadline;
-    retries = Option.value retries ~default:c.Gc_exec.Pool.retries;
   }
 
 (* ------------------------------------------------------------ evaluation *)

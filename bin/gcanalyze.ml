@@ -187,14 +187,7 @@ let unsound_arg =
            (fault injection): the audit is then expected to find \
            contradictions and exit 3.")
 
-let max_paths_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-paths" ] ~docv:"N"
-        ~doc:"Cap on enumerated branch resolutions per program.")
-
-let check progs unsound max_paths json =
+let check progs unsound json =
   let programs =
     match progs with
     | [] -> A.Catalog.programs ()
@@ -210,7 +203,7 @@ let check progs unsound max_paths json =
           names
   in
   let summary =
-    A.Crosscheck.check ~unsound ?max_paths programs A.Engine.standard_configs
+    A.Crosscheck.check ~unsound programs A.Engine.standard_configs
   in
   (match json with
   | Some "-" ->
@@ -229,7 +222,7 @@ let check_cmd =
        ~doc:
          "Cross-validate every static always-* verdict against the \
           simulator")
-    Term.(const check $ programs_arg $ unsound_arg $ max_paths_arg $ json_arg)
+    Term.(const check $ programs_arg $ unsound_arg $ json_arg)
 
 (* ------------------------------------------------------------------ main *)
 

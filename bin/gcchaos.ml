@@ -115,6 +115,69 @@ let rm_rf dir =
       (try Unix.rmdir dir with Unix.Unix_error _ -> ())
   | exception Sys_error _ -> ()
 
+(* A fresh private scratch directory for one seed's run, removed
+   afterwards whatever happens. *)
+let with_scratch_dir prefix seed f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "%s.%d.%d" prefix (Unix.getpid ()) seed)
+  in
+  rm_rf dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+(* Run a blocking supervisor ([Supervise.run] or [Fleet.run]) on a
+   thread of its own.  The answer stops it: it requests the drain,
+   joins the thread and returns the supervisor's outcome; a supervisor
+   that raised fails the run. *)
+let supervise_in_background ~what run =
+  let stop = Gc_exec.Cancel.create () in
+  let outcome = ref (Error (what ^ " thread never ran")) in
+  (* The supervisor is single-threaded and blocking by design; the drill
+     embeds it in a process-lifetime thread, which is exactly the shape
+     the pool rule exempts. *)
+  let th =
+    Thread.create
+      (fun () ->
+        outcome :=
+          match run ~stop with
+          | o -> Ok o
+          | exception e -> Error (Printexc.to_string e))
+      () [@lint.allow "spawn-outside-pool"]
+  in
+  fun ~reason ->
+    Gc_exec.Cancel.request stop ~reason;
+    Thread.join th;
+    match !outcome with
+    | Ok o -> o
+    | Error m -> Cli_common.fail_runtime "%s died: %s" what m
+
+(* After a drain nothing may answer on [sock]. *)
+let silent_after_drain sock =
+  Result.is_error
+    (Client.request_result ~timeout:1. (Client.Unix_path sock)
+       (Json.Obj [ ("op", Json.String "health") ]))
+
+let holds ok detail = if ok then Ok () else Error detail
+
+(* One seed's report: its [facts], then each named invariant as a
+   boolean.  A violated invariant is also explained on stderr; the run
+   is ok when every invariant holds. *)
+let verdict ~drill ~seed facts checks =
+  let invariants =
+    List.map
+      (fun (name, r) ->
+        match r with
+        | Ok () -> (name, Json.Bool true)
+        | Error m ->
+            Printf.eprintf "gcchaos: %s seed %d invariant %s: %s\n%!" drill
+              seed name m;
+            (name, Json.Bool false))
+      checks
+  in
+  ( Json.Obj (facts @ [ ("invariants", Json.Obj invariants) ]),
+    List.for_all (fun (_, r) -> Result.is_ok r) checks )
+
 (* Supervisor events, folded as they arrive: the drill needs "who is the
    child right now" (to aim signals) and "how many incarnations have
    come up healthy" (to know a restart finished before injecting the
@@ -311,16 +374,14 @@ let mixed_request i =
       ]
   else Json.Obj [ ("op", Json.String "health") ]
 
-let drill ~server_exe ~requests ~seed =
+(* Requests per drill seed: room for both kills, the pause and the
+   sims between them. *)
+let drill_requests = 18
+
+let drill ~server_exe ~seed =
   let rng = Rng.create seed in
   let schedule = derive_schedule rng in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "gcchaos.%d.%d" (Unix.getpid ()) seed)
-  in
-  rm_rf dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  with_scratch_dir "gcchaos" seed @@ fun dir ->
   let sock = Filename.concat dir "serve.sock" in
   let proxy_sock = Filename.concat dir "proxy.sock" in
   let manifest_path = Filename.concat dir "manifest.json" in
@@ -333,19 +394,9 @@ let drill ~server_exe ~requests ~seed =
       |]
   in
   let watch = watch_create () in
-  let stop = Gc_exec.Cancel.create () in
-  let outcome = ref (Error "supervisor thread never ran") in
-  (* The supervisor is single-threaded and blocking by design; the drill
-     embeds it in a process-lifetime thread, which is exactly the shape
-     the pool rule exempts. *)
-  let sup =
-    Thread.create
-      (fun () ->
-        outcome :=
-          match Supervise.run ~on_event:(watch_event watch) ~stop config with
-          | o -> Ok o
-          | exception e -> Error (Printexc.to_string e))
-      () [@lint.allow "spawn-outside-pool"]
+  let drain =
+    supervise_in_background ~what:"drill: supervisor"
+      (Supervise.run ~on_event:(watch_event watch) config)
   in
   await_healthy watch 1;
   (* Phase 1: direct requests with kill/stop injection.  The resilient
@@ -359,7 +410,7 @@ let drill ~server_exe ~requests ~seed =
   let kills = ref 0 in
   let direct_failures = ref 0 in
   let settled = ref 0 in
-  for i = 0 to requests - 1 do
+  for i = 0 to drill_requests - 1 do
     if List.mem i schedule.kill_at then begin
       (* Aim only at an incarnation that has already proven healthy, so
          two kills cannot land on the same pid. *)
@@ -411,82 +462,59 @@ let drill ~server_exe ~requests ~seed =
   Gc_fault.Net_proxy.stop proxy;
   (* Phase 3: drain through the supervisor, then prove the silence. *)
   dbg "draining";
-  Gc_exec.Cancel.request stop ~reason:"drill complete";
-  Thread.join sup;
-  let sup_outcome =
-    match !outcome with
-    | Ok o -> o
-    | Error m -> Cli_common.fail_runtime "drill: supervisor died: %s" m
-  in
-  let after_drain =
-    Client.request_result ~timeout:1.
-      (Client.Unix_path sock)
-      (Json.Obj [ ("op", Json.String "health") ])
-  in
+  let sup_outcome = drain ~reason:"drill complete" in
+  let silent = silent_after_drain sock in
   let manifest = manifest_reconciles manifest_path in
   (* Phase 4: disk faults, in-process. *)
   let journal = journal_drill dir seed schedule.journal_cut in
   let export = export_drill dir in
-  let expected = requests + Array.length schedule.net_faults in
-  let check name = function
-    | Ok () -> (name, Json.Bool true)
-    | Error m ->
-        Printf.eprintf "gcchaos: seed %d invariant %s: %s\n%!" seed name m;
-        (name, Json.Bool false)
-  in
-  let bool_check name ok detail =
-    check name (if ok then Ok () else Error detail)
-  in
-  let invariants =
+  let expected = drill_requests + Array.length schedule.net_faults in
+  verdict ~drill:"drill" ~seed
     [
-      bool_check "every_request_settled" (!settled = expected)
-        (Printf.sprintf "settled %d of %d" !settled expected);
-      bool_check "direct_requests_all_answered" (!direct_failures = 0)
-        (Printf.sprintf "%d direct failures" !direct_failures);
-      bool_check "restarts_match_kills"
-        (sup_outcome.Supervise.restarts = !kills
-        && sup_outcome.Supervise.result = `Drained)
-        (Printf.sprintf "restarts %d, kills %d, %s"
-           sup_outcome.Supervise.restarts !kills
-           (match sup_outcome.Supervise.result with
-           | `Drained -> "drained"
-           | `Gave_up -> "gave up"));
-      bool_check "no_reply_after_drain" (Result.is_error after_drain)
-        "post-drain request was answered";
-      check "manifest_reconciles" manifest;
-      bool_check "proxy_connection_per_request"
-        (proxy_conns = Array.length schedule.net_faults)
-        (Printf.sprintf "%d proxy connections for %d requests" proxy_conns
-           (Array.length schedule.net_faults));
-      check "journal_tear_recovered" journal;
-      check "export_survives_crash" export;
+      ("seed", Json.Int seed);
+      ("requests", Json.Int drill_requests);
+      ( "kills",
+        Json.Array (List.map (fun i -> Json.Int i) schedule.kill_at) );
+      ("stop_at", Json.Int schedule.stop_at);
+      ( "net_faults",
+        Json.Array
+          (Array.to_list schedule.net_faults
+          |> List.map (fun f ->
+                 Json.String (Gc_fault.Net_proxy.fault_string f))) );
+      ( "net_outcomes",
+        Json.Array
+          (Array.to_list net_outcomes |> List.map (fun s -> Json.String s))
+      );
+      ("journal_cut", Json.Int schedule.journal_cut);
+      ("settled", Json.Int !settled);
+      ("restarts", Json.Int sup_outcome.Supervise.restarts);
     ]
-  in
-  let report =
-    Json.Obj
-      [
-        ("seed", Json.Int seed);
-        ("requests", Json.Int requests);
-        ( "kills",
-          Json.Array (List.map (fun i -> Json.Int i) schedule.kill_at) );
-        ("stop_at", Json.Int schedule.stop_at);
-        ( "net_faults",
-          Json.Array
-            (Array.to_list schedule.net_faults
-            |> List.map (fun f ->
-                   Json.String (Gc_fault.Net_proxy.fault_string f))) );
-        ( "net_outcomes",
-          Json.Array
-            (Array.to_list net_outcomes |> List.map (fun s -> Json.String s))
-        );
-        ("journal_cut", Json.Int schedule.journal_cut);
-        ("settled", Json.Int !settled);
-        ("restarts", Json.Int sup_outcome.Supervise.restarts);
-        ("invariants", Json.Obj invariants);
-      ]
-  in
-  let ok = List.for_all (fun (_, v) -> v = Json.Bool true) invariants in
-  (report, ok)
+    [
+      ( "every_request_settled",
+        holds (!settled = expected)
+          (Printf.sprintf "settled %d of %d" !settled expected) );
+      ( "direct_requests_all_answered",
+        holds (!direct_failures = 0)
+          (Printf.sprintf "%d direct failures" !direct_failures) );
+      ( "restarts_match_kills",
+        holds
+          (sup_outcome.Supervise.restarts = !kills
+          && sup_outcome.Supervise.result = `Drained)
+          (Printf.sprintf "restarts %d, kills %d, %s"
+             sup_outcome.Supervise.restarts !kills
+             (match sup_outcome.Supervise.result with
+             | `Drained -> "drained"
+             | `Gave_up -> "gave up")) );
+      ("no_reply_after_drain", holds silent "post-drain request was answered");
+      ("manifest_reconciles", manifest);
+      ( "proxy_connection_per_request",
+        holds
+          (proxy_conns = Array.length schedule.net_faults)
+          (Printf.sprintf "%d proxy connections for %d requests" proxy_conns
+             (Array.length schedule.net_faults)) );
+      ("journal_tear_recovered", journal);
+      ("export_survives_crash", export);
+    ]
 
 (* ---------------------------------------------------------------- storm *)
 
@@ -511,6 +539,10 @@ let drill ~server_exe ~requests ~seed =
 let storm_wave_clients = 3
 let storm_wave_per_client = 4
 let storm_poison_upfront = 24
+
+(* How long the mitigated phase waits, after its first wave, for CoDel's
+   first sojourn shed to show in the server's stats. *)
+let storm_shed_wait = 5.
 
 let hang_req i =
   Json.Obj
@@ -670,16 +702,9 @@ let storm_phase ~server_exe ~seed ~mitigated dir =
       |]
   in
   let watch = watch_create () in
-  let stop = Gc_exec.Cancel.create () in
-  let outcome = ref (Error "supervisor thread never ran") in
-  let sup =
-    Thread.create
-      (fun () ->
-        outcome :=
-          match Supervise.run ~on_event:(watch_event watch) ~stop config with
-          | o -> Ok o
-          | exception e -> Error (Printexc.to_string e))
-      () [@lint.allow "spawn-outside-pool"]
+  let drain =
+    supervise_in_background ~what:"storm: supervisor"
+      (Supervise.run ~on_event:(watch_event watch) config)
   in
   await_healthy watch 1;
   dbg "storm %s: poisoning" tag;
@@ -692,18 +717,31 @@ let storm_phase ~server_exe ~seed ~mitigated dir =
   in
   let sojourn_sheds =
     if mitigated then begin
-      (* Give the controller a last few poisoned dequeues to act on. *)
-      Gc_exec.Pool.nap 0.75;
-      stats_sojourn_sheds sock
+      (* The first sojourn shed comes about 1s into the poison: each
+         hang holds the worker for its 0.5s deadline, and CoDel sheds
+         only once the sojourn has stayed high for its 0.25s interval,
+         around the third dequeue.  A wave refused fast (queue full,
+         each client's 3-token budget spent) ends well before that, so
+         poll for the shed, up to a bound, rather than read it once.
+         The feeder keeps the poison flowing (for up to 20s)
+         meanwhile. *)
+      let give_up = Gc_prof.Clock.now_s () +. storm_shed_wait in
+      let rec poll () =
+        let n = stats_sojourn_sheds sock in
+        if n >= 1 || Gc_prof.Clock.now_s () >= give_up then n
+        else begin
+          Gc_exec.Pool.nap 0.1;
+          poll ()
+        end
+      in
+      poll ()
     end
     else 0
   in
   stop_poison poison;
-  let kills = ref 0 in
   if mitigated then begin
     await_healthy watch 1;
     signal_child watch Sys.sigkill;
-    incr kills;
     await_healthy watch 2
   end;
   let wave2_ok =
@@ -715,82 +753,58 @@ let storm_phase ~server_exe ~seed ~mitigated dir =
     else 0
   in
   dbg "storm %s: draining" tag;
-  Gc_exec.Cancel.request stop ~reason:"storm phase complete";
-  Thread.join sup;
-  let sup_outcome =
-    match !outcome with
-    | Ok o -> o
-    | Error m -> Cli_common.fail_runtime "storm: supervisor died: %s" m
-  in
-  let after_drain =
-    Client.request_result ~timeout:1.
-      (Client.Unix_path sock)
-      (Json.Obj [ ("op", Json.String "health") ])
-  in
+  let sup_outcome = drain ~reason:"storm phase complete" in
   {
     wave1_ok;
     wave2_ok;
     sojourn_sheds;
     ph_restarts = sup_outcome.Supervise.restarts;
-    ph_silent = Result.is_error after_drain;
+    ph_silent = silent_after_drain sock;
     ph_manifest = manifest_reconciles manifest_path;
   }
 
 let storm ~server_exe ~seed =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "gcstorm.%d.%d" (Unix.getpid ()) seed)
-  in
-  rm_rf dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  with_scratch_dir "gcstorm" seed @@ fun dir ->
   let naive = storm_phase ~server_exe ~seed ~mitigated:false dir in
   let mitigated = storm_phase ~server_exe ~seed ~mitigated:true dir in
   let wave_total = storm_wave_clients * storm_wave_per_client in
-  let check name = function
-    | Ok () -> (name, Json.Bool true)
-    | Error m ->
-        Printf.eprintf "gcchaos: storm seed %d invariant %s: %s\n%!" seed name m;
-        (name, Json.Bool false)
-  in
-  let bool_check name ok detail =
-    check name (if ok then Ok () else Error detail)
-  in
-  let invariants =
+  verdict ~drill:"storm" ~seed
+    [
+      ("seed", Json.Int seed);
+      ("wave_requests", Json.Int wave_total);
+      ("poison_upfront", Json.Int storm_poison_upfront);
+    ]
     [
       (* ~0 goodput, with a one-success margin so a scheduling fluke
          cannot flap the byte-identical report. *)
-      bool_check "naive_storm_collapses"
-        (naive.wave1_ok * 10 <= wave_total)
-        (Printf.sprintf "naive goodput %d of %d" naive.wave1_ok wave_total);
-      bool_check "naive_restarts_zero" (naive.ph_restarts = 0)
-        (Printf.sprintf "%d restarts without kills" naive.ph_restarts);
-      check "naive_manifest_reconciles" naive.ph_manifest;
-      bool_check "naive_silent_after_drain" naive.ph_silent
-        "post-drain request was answered";
-      bool_check "mitigated_sojourn_shedding" (mitigated.sojourn_sheds >= 1)
-        "CoDel never shed by sojourn under sustained poison";
-      bool_check "mitigated_recovers_goodput" (mitigated.wave2_ok = wave_total)
-        (Printf.sprintf "recovered goodput %d of %d" mitigated.wave2_ok
-           wave_total);
-      bool_check "mitigated_restarts_match_kills" (mitigated.ph_restarts = 1)
-        (Printf.sprintf "restarts %d, kills 1" mitigated.ph_restarts);
-      check "mitigated_manifest_reconciles" mitigated.ph_manifest;
-      bool_check "mitigated_silent_after_drain" mitigated.ph_silent
-        "post-drain request was answered";
+      ( "naive_storm_collapses",
+        holds
+          (naive.wave1_ok * 10 <= wave_total)
+          (Printf.sprintf "naive goodput %d of %d" naive.wave1_ok wave_total) );
+      ( "naive_restarts_zero",
+        holds (naive.ph_restarts = 0)
+          (Printf.sprintf "%d restarts without kills" naive.ph_restarts) );
+      ("naive_manifest_reconciles", naive.ph_manifest);
+      ( "naive_silent_after_drain",
+        holds naive.ph_silent "post-drain request was answered" );
+      ( "mitigated_sojourn_shedding",
+        holds
+          (mitigated.sojourn_sheds >= 1)
+          (Printf.sprintf
+             "CoDel never shed by sojourn within %gs of sustained poison"
+             storm_shed_wait) );
+      ( "mitigated_recovers_goodput",
+        holds
+          (mitigated.wave2_ok = wave_total)
+          (Printf.sprintf "recovered goodput %d of %d" mitigated.wave2_ok
+             wave_total) );
+      ( "mitigated_restarts_match_kills",
+        holds (mitigated.ph_restarts = 1)
+          (Printf.sprintf "restarts %d, kills 1" mitigated.ph_restarts) );
+      ("mitigated_manifest_reconciles", mitigated.ph_manifest);
+      ( "mitigated_silent_after_drain",
+        holds mitigated.ph_silent "post-drain request was answered" );
     ]
-  in
-  let report =
-    Json.Obj
-      [
-        ("seed", Json.Int seed);
-        ("wave_requests", Json.Int wave_total);
-        ("poison_upfront", Json.Int storm_poison_upfront);
-        ("invariants", Json.Obj invariants);
-      ]
-  in
-  let ok = List.for_all (fun (_, v) -> v = Json.Bool true) invariants in
-  (report, ok)
 
 (* ------------------------------------------------------------ partition *)
 
@@ -870,18 +884,16 @@ let manifest_names_replica path name =
               Error (Printf.sprintf "manifest names replica %S, wanted %S" n name)
           | _ -> Error "manifest: no replica field"))
 
-let partition ~server_exe ~requests ~seed =
+(* Requests per partition seed: room for all three fault windows. *)
+let partition_requests = 26
+
+let partition ~server_exe ~seed =
   let module Rc = Gc_resil.Resilient_client in
   let module Pool = Gc_resil.Endpoint_pool in
+  let requests = partition_requests in
   let rng = Rng.create seed in
   let s = derive_partition rng in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "gcpart.%d.%d" (Unix.getpid ()) seed)
-  in
-  rm_rf dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  with_scratch_dir "gcpart" seed @@ fun dir ->
   let base = Filename.concat dir "part.sock" in
   let sock i = Gc_resil.Fleet.replica_socket ~base i in
   let name i = Printf.sprintf "replica-%d" i in
@@ -903,20 +915,11 @@ let partition ~server_exe ~requests ~seed =
           |])
   in
   let watches = Array.init partition_replicas (fun _ -> watch_create ()) in
-  let stop = Gc_exec.Cancel.create () in
-  let outcome = ref (Error "fleet thread never ran") in
-  let fl =
-    Thread.create
-      (fun () ->
-        outcome :=
-          match
-            Gc_resil.Fleet.run
-              ~on_event:(fun ~replica ev -> watch_event watches.(replica) ev)
-              ~stop configs
-          with
-          | o -> Ok o
-          | exception e -> Error (Printexc.to_string e))
-      () [@lint.allow "spawn-outside-pool"]
+  let drain =
+    supervise_in_background ~what:"partition: fleet"
+      (Gc_resil.Fleet.run
+         ~on_event:(fun ~replica ev -> watch_event watches.(replica) ev)
+         configs)
   in
   Array.iter (fun w -> await_healthy w 1) watches;
   (* The degraded replica is reached through the proxy; until armed it
@@ -995,25 +998,13 @@ let partition ~server_exe ~requests ~seed =
   Rc.close mc;
   Gc_fault.Net_proxy.stop proxy;
   dbg "partition draining";
-  Gc_exec.Cancel.request stop ~reason:"partition drill complete";
-  Thread.join fl;
-  let fleet_outcome =
-    match !outcome with
-    | Ok o -> o
-    | Error m -> Cli_common.fail_runtime "partition: fleet died: %s" m
-  in
+  let fleet_outcome = drain ~reason:"partition drill complete" in
   let restarts =
     Array.map
       (fun (o : Supervise.outcome) -> o.Supervise.restarts)
       fleet_outcome.Gc_resil.Fleet.replicas
   in
-  let silent =
-    Array.init partition_replicas (fun i ->
-        Result.is_error
-          (Client.request_result ~timeout:1.
-             (Client.Unix_path (sock i))
-             (Json.Obj [ ("op", Json.String "health") ])))
-  in
+  let silent = Array.init partition_replicas (fun i -> silent_after_drain (sock i)) in
   let manifests =
     let rec go i =
       if i >= partition_replicas then Ok ()
@@ -1028,72 +1019,59 @@ let partition ~server_exe ~requests ~seed =
     in
     go 0
   in
-  let check name = function
-    | Ok () -> (name, Json.Bool true)
-    | Error m ->
-        Printf.eprintf "gcchaos: partition seed %d invariant %s: %s\n%!" seed
-          name m;
-        (name, Json.Bool false)
-  in
-  let bool_check name ok detail =
-    check name (if ok then Ok () else Error detail)
-  in
-  let invariants =
+  verdict ~drill:"partition" ~seed
     [
-      bool_check "every_request_settled" (!settled = requests)
-        (Printf.sprintf "settled %d of %d" !settled requests);
-      bool_check "zero_failed_requests"
-        (!failures = 0 && !oks = requests)
-        (Printf.sprintf "%d failures, %d ok replies of %d" !failures !oks
-           requests);
-      bool_check "restarts_isolated_to_kill"
-        (restarts.(s.p_kill) = 1
-        && restarts.(s.p_stop) = 0
-        && restarts.(s.p_degrade) = 0
-        && fleet_outcome.Gc_resil.Fleet.result = `Drained)
-        (Printf.sprintf "restarts kill=%d stop=%d degrade=%d, %s"
-           restarts.(s.p_kill) restarts.(s.p_stop)
-           restarts.(s.p_degrade)
-           (match fleet_outcome.Gc_resil.Fleet.result with
-           | `Drained -> "drained"
-           | `All_gave_up -> "all gave up"));
-      bool_check "killed_replica_reprobed_up" !recovered
-        "killed replica not Up after its re-probe";
-      bool_check "failover_covered_the_kill" (failovers >= 1)
-        "no failover despite a SIGKILLed replica";
-      bool_check "hedges_fired" (hedges >= 1)
-        "no hedge despite a stalled replica";
-      bool_check "hedge_wins_bounded"
-        (hedge_wins >= 1 && hedge_wins <= hedges)
-        (Printf.sprintf "%d hedge wins of %d hedges" hedge_wins hedges);
-      check "replica_manifests_reconcile" manifests;
-      bool_check "silent_after_drain"
-        (Array.for_all Fun.id silent)
-        "a replica answered after the fleet drained";
+      ("seed", Json.Int seed);
+      ("requests", Json.Int requests);
+      ("kill_replica", Json.Int s.p_kill);
+      ("stop_replica", Json.Int s.p_stop);
+      ("degrade_replica", Json.Int s.p_degrade);
+      ("kill_at", Json.Int s.p_kill_at);
+      ( "stop_window",
+        Json.Array [ Json.Int s.p_stop_from; Json.Int s.p_stop_len ] );
+      ( "degrade_window",
+        Json.Array [ Json.Int s.p_degrade_from; Json.Int s.p_degrade_len ] );
+      ("settled", Json.Int !settled);
+      ( "restarts",
+        Json.Array (Array.to_list restarts |> List.map (fun r -> Json.Int r))
+      );
     ]
-  in
-  let report =
-    Json.Obj
-      [
-        ("seed", Json.Int seed);
-        ("requests", Json.Int requests);
-        ("kill_replica", Json.Int s.p_kill);
-        ("stop_replica", Json.Int s.p_stop);
-        ("degrade_replica", Json.Int s.p_degrade);
-        ("kill_at", Json.Int s.p_kill_at);
-        ( "stop_window",
-          Json.Array [ Json.Int s.p_stop_from; Json.Int s.p_stop_len ] );
-        ( "degrade_window",
-          Json.Array [ Json.Int s.p_degrade_from; Json.Int s.p_degrade_len ] );
-        ("settled", Json.Int !settled);
-        ( "restarts",
-          Json.Array (Array.to_list restarts |> List.map (fun r -> Json.Int r))
-        );
-        ("invariants", Json.Obj invariants);
-      ]
-  in
-  let ok = List.for_all (fun (_, v) -> v = Json.Bool true) invariants in
-  (report, ok)
+    [
+      ( "every_request_settled",
+        holds (!settled = requests)
+          (Printf.sprintf "settled %d of %d" !settled requests) );
+      ( "zero_failed_requests",
+        holds
+          (!failures = 0 && !oks = requests)
+          (Printf.sprintf "%d failures, %d ok replies of %d" !failures !oks
+             requests) );
+      ( "restarts_isolated_to_kill",
+        holds
+          (restarts.(s.p_kill) = 1
+          && restarts.(s.p_stop) = 0
+          && restarts.(s.p_degrade) = 0
+          && fleet_outcome.Gc_resil.Fleet.result = `Drained)
+          (Printf.sprintf "restarts kill=%d stop=%d degrade=%d, %s"
+             restarts.(s.p_kill) restarts.(s.p_stop)
+             restarts.(s.p_degrade)
+             (match fleet_outcome.Gc_resil.Fleet.result with
+             | `Drained -> "drained"
+             | `All_gave_up -> "all gave up")) );
+      ( "killed_replica_reprobed_up",
+        holds !recovered "killed replica not Up after its re-probe" );
+      ( "failover_covered_the_kill",
+        holds (failovers >= 1) "no failover despite a SIGKILLed replica" );
+      ("hedges_fired", holds (hedges >= 1) "no hedge despite a stalled replica");
+      ( "hedge_wins_bounded",
+        holds
+          (hedge_wins >= 1 && hedge_wins <= hedges)
+          (Printf.sprintf "%d hedge wins of %d hedges" hedge_wins hedges) );
+      ("replica_manifests_reconcile", manifests);
+      ( "silent_after_drain",
+        holds
+          (Array.for_all Fun.id silent)
+          "a replica answered after the fleet drained" );
+    ]
 
 (* ----------------------------------------------------------------- CLI *)
 
@@ -1128,18 +1106,13 @@ type drill_spec = {
   seed_flags : string list;
   default_seeds : int list;
   seed_derives : string;  (** What one seed fixes, for the help text. *)
-  requests : (int * int) option;  (** [--requests] default and minimum. *)
+  requests : int option;  (** Requests per seed, for the combined report. *)
   tool : string;  (** The combined report's "tool". *)
   key : string;  (** The combined report's list of per-seed reports. *)
-  run : server_exe:string -> requests:int -> seed:int -> Json.t * bool;
+  run : server_exe:string -> seed:int -> Json.t * bool;
 }
 
-let run_drills spec seeds server requests report_path verify_repro =
-  (match (spec.requests, requests) with
-  | Some (_, minimum), Some n when n < minimum ->
-      Cli_common.fail_usage
-        "--requests must be >= %d (the schedule needs room)" minimum
-  | _ -> ());
+let run_drills spec seeds server report_path verify_repro =
   let seeds =
     match seeds with
     | Some s -> parse_seeds s
@@ -1153,9 +1126,7 @@ let run_drills spec seeds server requests report_path verify_repro =
   in
   if not (Sys.file_exists server_exe) then
     Cli_common.fail_usage "server executable %s not found (--server)" server_exe;
-  let run seed =
-    spec.run ~server_exe ~requests:(Option.value requests ~default:0) ~seed
-  in
+  let run seed = spec.run ~server_exe ~seed in
   let failures = ref 0 in
   let reports =
     List.map
@@ -1181,7 +1152,7 @@ let run_drills spec seeds server requests report_path verify_repro =
   let combined =
     Json.Obj
       ([ ("tool", Json.String spec.tool) ]
-      @ (match requests with
+      @ (match spec.requests with
         | Some n -> [ ("requests", Json.Int n) ]
         | None -> [])
       @ [
@@ -1200,17 +1171,6 @@ let run_drills spec seeds server requests report_path verify_repro =
 
 let drill_cmd spec =
   let seeds_list = String.concat "," (List.map string_of_int spec.default_seeds) in
-  let requests =
-    match spec.requests with
-    | None -> Term.const None
-    | Some (default, minimum) ->
-        Term.(
-          const Option.some
-          $ Arg.(
-              value & opt int default
-              & info [ "requests" ] ~docv:"N"
-                  ~doc:(Printf.sprintf "Requests per drill (minimum %d)." minimum)))
-  in
   Cmd.v
     (Cmd.info spec.name ~exits ~doc:spec.doc)
     Term.(
@@ -1231,7 +1191,6 @@ let drill_cmd spec =
               ~doc:
                 "The gcserved executable to supervise (default: the \
                  gcserved next to this binary).")
-      $ requests
       $ Arg.(
           value
           & opt (some string) None
@@ -1255,7 +1214,7 @@ let drills =
       seed_flags = [ "seeds" ];
       default_seeds = [ 1; 2; 3 ];
       seed_derives = "an independent fault schedule";
-      requests = Some (18, 16);
+      requests = Some drill_requests;
       tool = "gcchaos";
       key = "drills";
       run = drill;
@@ -1273,7 +1232,7 @@ let drills =
       requests = None;
       tool = "gcchaos storm";
       key = "storms";
-      run = (fun ~server_exe ~requests:_ ~seed -> storm ~server_exe ~seed);
+      run = storm;
     };
     {
       name = "partition";
@@ -1285,7 +1244,7 @@ let drills =
       seed_flags = [ "seeds" ];
       default_seeds = [ 1; 2; 3 ];
       seed_derives = "the victim assignments and fault windows";
-      requests = Some (26, 24);
+      requests = Some partition_requests;
       tool = "gcchaos partition";
       key = "partitions";
       run = partition;

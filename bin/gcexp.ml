@@ -97,8 +97,8 @@ let emit_row desc payload failures =
       | _ ->
           Printf.printf "%s,%d,%d,,,\n" desc.cell_policy desc.cell_k misses)
 
-let miss_curve policies k_min k_max steps offline seed domains deadline retries
-    journal resume json path =
+let miss_curve policies k_min k_max steps offline seed domains deadline journal
+    resume json path =
   let journal, resuming = Cli_common.journal_mode ~journal ~resume in
   let trace = read_trace path in
   let blocks = trace.Gc_trace.Trace.blocks in
@@ -176,7 +176,7 @@ let miss_curve policies k_min k_max steps offline seed domains deadline retries
   let results, stats =
     Gc_exec.Supervisor.with_interrupt (fun interrupt ->
         Gc_exec.Checkpoint.run
-          ~config:(Cli_common.pool_config ?domains ?deadline ?retries ())
+          ~config:(Cli_common.pool_config ?domains ?deadline ())
           ~interrupt ?journal ~resume:resuming ~meta ~to_error cells)
   in
   if stats.Gc_exec.Checkpoint.resumed > 0 then
@@ -254,8 +254,8 @@ let miss_curve_cmd =
     Term.(
       const miss_curve $ policies_arg $ k_min_arg $ k_max_arg $ steps_arg
       $ offline_arg $ seed_arg $ Cli_common.domains_arg
-      $ Cli_common.deadline_arg $ Cli_common.retries_arg
-      $ Cli_common.journal_arg $ Cli_common.resume_arg $ json_arg $ path_arg)
+      $ Cli_common.deadline_arg $ Cli_common.journal_arg
+      $ Cli_common.resume_arg $ json_arg $ path_arg)
 
 (* ----------------------------------------------------------- split-sweep *)
 

@@ -61,9 +61,8 @@ let listeners ~socket ~tcp ~tcp_host =
   let socket = if socket = None && tcp = None then Some "gcserved.sock" else socket in
   (socket, Option.map (fun p -> (tcp_host, p)) tcp)
 
-let serve socket tcp tcp_host workers min_workers queue_depth deadline retries
-    max_frame frame_timeout max_conns codel_target codel_interval
-    retry_after_ms seed manifest trace name =
+let serve socket tcp tcp_host workers queue_depth deadline frame_timeout
+    codel_target codel_interval retry_after_ms seed manifest trace name =
   let socket_path, tcp = listeners ~socket ~tcp ~tcp_host in
   let base = Gc_serve.Server.default_config in
   let config =
@@ -73,15 +72,9 @@ let serve socket tcp tcp_host workers min_workers queue_depth deadline retries
       tcp;
       queue_depth = Option.value queue_depth ~default:base.Gc_serve.Server.queue_depth;
       workers = Option.value workers ~default:base.Gc_serve.Server.workers;
-      min_workers =
-        Option.value min_workers ~default:base.Gc_serve.Server.min_workers;
       deadline = Option.value deadline ~default:base.Gc_serve.Server.deadline;
-      retries = Option.value retries ~default:base.Gc_serve.Server.retries;
-      max_frame = Option.value max_frame ~default:base.Gc_serve.Server.max_frame;
       frame_timeout =
         Option.value frame_timeout ~default:base.Gc_serve.Server.frame_timeout;
-      max_connections =
-        Option.value max_conns ~default:base.Gc_serve.Server.max_connections;
       codel_target =
         Option.value codel_target ~default:base.Gc_serve.Server.codel_target;
       codel_interval =
@@ -125,13 +118,6 @@ let serve_cmd =
       $ Arg.(
           value
           & opt (some int) None
-          & info [ "min-workers" ] ~docv:"N"
-              ~doc:
-                "Floor of the adaptive (AIMD) concurrency limit \
-                 (default 1).")
-      $ Arg.(
-          value
-          & opt (some int) None
           & info [ "queue-depth" ] ~docv:"N"
               ~doc:
                 "Admission-queue bound; beyond it requests are shed with \
@@ -143,26 +129,11 @@ let serve_cmd =
               ~doc:"Per-request wall-clock budget (default 30).")
       $ Arg.(
           value
-          & opt (some int) None
-          & info [ "retries" ] ~docv:"N"
-              ~doc:"Extra attempts for transiently failing requests (default 1).")
-      $ Arg.(
-          value
-          & opt (some int) None
-          & info [ "max-frame" ] ~docv:"BYTES"
-              ~doc:"Frame payload cap (default 1MiB).")
-      $ Arg.(
-          value
           & opt (some float) None
           & info [ "frame-timeout" ] ~docv:"SECONDS"
               ~doc:
                 "Whole-frame delivery budget; slower senders are cut off \
                  (default 10).")
-      $ Arg.(
-          value
-          & opt (some int) None
-          & info [ "max-conns" ] ~docv:"N"
-              ~doc:"Concurrent connection cap (default 256).")
       $ Arg.(
           value
           & opt (some float) None
@@ -229,57 +200,12 @@ let server_exe_arg =
     & info [ "server" ] ~docv:"EXE"
         ~doc:"The gcserved executable to spawn (default: this binary).")
 
-(* The supervision flags [supervise] and [fleet] share, as one term that
-   returns the override of a Supervise.config: each flag left unset keeps
-   the value of Supervise.default_config, which the help text names. *)
-let supervision_term =
-  let flag kind name docv doc =
-    Arg.(value & opt (some kind) None & info [ name ] ~docv ~doc)
-  in
-  let override health_interval health_timeout startup_grace wedge_threshold
-      restart_window max_restarts term_grace drain_grace
-      (c : Gc_resil.Supervise.config) =
-    let ( |? ) flag default = Option.value flag ~default in
-    {
-      c with
-      health_interval = health_interval |? c.health_interval;
-      health_timeout = health_timeout |? c.health_timeout;
-      startup_grace = startup_grace |? c.startup_grace;
-      wedge_threshold = wedge_threshold |? c.wedge_threshold;
-      restart_window = restart_window |? c.restart_window;
-      max_restarts = max_restarts |? c.max_restarts;
-      term_grace = term_grace |? c.term_grace;
-      drain_grace = drain_grace |? c.drain_grace;
-    }
-  in
-  Term.(
-    const override
-    $ flag Arg.float "health-interval" "SECONDS"
-        "Seconds between health probes (default 0.25)."
-    $ flag Arg.float "health-timeout" "SECONDS"
-        "Per-probe reply budget (default 2)."
-    $ flag Arg.float "startup-grace" "SECONDS"
-        "Budget for the first healthy probe after a spawn (default 10)."
-    $ flag Arg.int "wedge-threshold" "N"
-        "Consecutive failed probes that declare a live child wedged \
-         (default 8)."
-    $ flag Arg.float "restart-window" "SECONDS"
-        "Sliding window for the restart budget, per replica under \
-         $(b,fleet) (default 60)."
-    $ flag Arg.int "max-restarts" "N"
-        "Restarts allowed per window, per replica under $(b,fleet), before \
-         giving up (default 5)."
-    $ flag Arg.float "term-grace" "SECONDS"
-        "SIGTERM-to-SIGKILL grace for a wedged child (default 5)."
-    $ flag Arg.float "drain-grace" "SECONDS"
-        "How long a requested drain may take (default 30).")
-
 (* The watchdog: spawn `gcserved serve` as a child and keep it up.  All
    the machinery lives in Gc_resil.Supervise; this command wires flags,
    signals (first SIGTERM/SIGINT forwards the drain, a second hard-exits
    130 via the shared Supervisor contract), and the exit code: 0 after a
    clean drain, 3 when the restart budget is spent (give-up). *)
-let supervise socket tcp tcp_host server_exe child_args supervision seed =
+let supervise socket tcp tcp_host server_exe child_args seed =
   let socket_path, tcp = listeners ~socket ~tcp ~tcp_host in
   let health_addr =
     match (socket_path, tcp) with
@@ -297,9 +223,7 @@ let supervise socket tcp tcp_host server_exe child_args supervision seed =
         | None -> [])
       @ child_args)
   in
-  let base =
-    supervision (Gc_resil.Supervise.default_config ~argv ~health_addr)
-  in
+  let base = Gc_resil.Supervise.default_config ~argv ~health_addr in
   let config =
     {
       base with
@@ -344,7 +268,6 @@ let supervise_cmd =
           value & pos_all string []
           & info [] ~docv:"SERVE_ARG"
               ~doc:"Extra flags for the child's $(b,serve) command.")
-      $ supervision_term
       $ Arg.(
           value
           & opt (some int) None
@@ -357,7 +280,7 @@ let supervise_cmd =
    budget each (Gc_resil.Fleet).  One crash-looping replica spends its
    own budget and goes dark while the rest keep serving; only when every
    replica has given up does the fleet exit 3. *)
-let fleet socket replicas server_exe child_args supervision seed manifest =
+let fleet socket replicas server_exe child_args seed manifest =
   if replicas < 1 then Cli_common.fail_usage "--replicas must be >= 1";
   let base_socket = Option.value socket ~default:"gcserved.sock" in
   let base_seed = Option.value seed ~default:0 in
@@ -370,9 +293,8 @@ let fleet socket replicas server_exe child_args supervision seed manifest =
         ([ exe; "serve"; "--socket"; sock; "--name"; name ] @ child_args)
     in
     {
-      (supervision
-         (Gc_resil.Supervise.default_config ~argv
-            ~health_addr:(Gc_serve.Client.Unix_path sock)))
+      (Gc_resil.Supervise.default_config ~argv
+         ~health_addr:(Gc_serve.Client.Unix_path sock))
       with
       (* Distinct seeds: backoff jitter must never synchronize restarts
          across the set. *)
@@ -467,7 +389,6 @@ let fleet_cmd =
           value & pos_all string []
           & info [] ~docv:"SERVE_ARG"
               ~doc:"Extra flags for each child's $(b,serve) command.")
-      $ supervision_term
       $ Arg.(
           value
           & opt (some int) None
@@ -774,8 +695,8 @@ let client_cmd =
                 "Replica endpoint: a socket path, or $(i,host:port) for \
                  TCP.  Repeatable; with several, requests rotate \
                  round-robin across healthy replicas and transport \
-                 failures of idempotent requests fail over to the next \
-                 one within the same attempt.  Mutually exclusive with \
+                 failures fail over to the next one within the same \
+                 attempt.  Mutually exclusive with \
                  $(b,--socket)/$(b,--tcp).")
       $ Arg.(
           value

@@ -200,8 +200,7 @@ let run_cmd =
 
 (* ---------------------------------------------------------------- suite *)
 
-let suite policies k seed block_size domains deadline retries journal resume
-    json =
+let suite policies k seed block_size domains deadline journal resume json =
   let journal, resuming = Cli_common.journal_mode ~journal ~resume in
   let entries = Gc_trace.Workload_suite.standard ~seed ~block_size () in
   let policies = if policies = [] then Gc_cache.Registry.names else policies in
@@ -261,7 +260,7 @@ let suite policies k seed block_size domains deadline retries journal resume
   let results, stats =
     Gc_exec.Supervisor.with_interrupt (fun interrupt ->
         Gc_exec.Checkpoint.run
-          ~config:(Cli_common.pool_config ?domains ?deadline ?retries ())
+          ~config:(Cli_common.pool_config ?domains ?deadline ())
           ~interrupt ?journal ~resume:resuming ~meta ~to_error cells)
   in
   if stats.Gc_exec.Checkpoint.resumed > 0 then
@@ -359,8 +358,7 @@ let suite_cmd =
       $ Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Suite seed.")
       $ Arg.(value & opt int 16 & info [ "block-size"; "B" ] ~doc:"Block size.")
       $ Cli_common.domains_arg $ Cli_common.deadline_arg
-      $ Cli_common.retries_arg $ Cli_common.journal_arg
-      $ Cli_common.resume_arg
+      $ Cli_common.journal_arg $ Cli_common.resume_arg
       $ Arg.(
           value
           & opt (some string) None

@@ -1,5 +1,7 @@
+(* The limit never drops below one slot. *)
+let min_limit = 1
+
 type t = {
-  min_limit : int;
   max_limit : int;
   cooldown : float;
   mutable current : float;  (* fractional; [limit] floors it *)
@@ -9,12 +11,9 @@ type t = {
 (* The multiplicative-decrease factor. *)
 let beta = 0.7
 
-let create ?(cooldown = 0.5) ~min_limit ~max_limit () =
-  if min_limit < 1 then invalid_arg "Aimd.create: min_limit < 1";
-  if max_limit < min_limit then
-    invalid_arg "Aimd.create: max_limit < min_limit";
+let create ?(cooldown = 0.5) ~max_limit () =
+  if max_limit < min_limit then invalid_arg "Aimd.create: max_limit < 1";
   {
-    min_limit;
     max_limit;
     cooldown = Float.max 0. cooldown;
     current = Float.of_int max_limit;
@@ -23,7 +22,7 @@ let create ?(cooldown = 0.5) ~min_limit ~max_limit () =
 
 let limit t =
   let l = int_of_float t.current in
-  if l < t.min_limit then t.min_limit
+  if l < min_limit then min_limit
   else if l > t.max_limit then t.max_limit
   else l
 
@@ -34,6 +33,6 @@ let on_success t =
 
 let on_congestion t ~now =
   if now >= t.next_decrease then begin
-    t.current <- Float.max (Float.of_int t.min_limit) (t.current *. beta);
+    t.current <- Float.max (Float.of_int min_limit) (t.current *. beta);
     t.next_decrease <- now +. t.cooldown
   end

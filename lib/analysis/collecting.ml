@@ -1,7 +1,8 @@
-let default_max_states = 65536
+(* Reachable-state cap: the collecting semantics is exponential in
+   branch structure, so it fails rather than degrade silently. *)
+let max_states = 65536
 
-let run_exact ?(max_states = default_max_states) (cfg : Cache_model.config)
-    (p : Program.t) =
+let run_exact (cfg : Cache_model.config) (p : Program.t) =
   Cache_model.validate cfg;
   let items = Program.point_items p in
   let all_hit = Array.make p.Program.points true in

@@ -12,8 +12,6 @@
     The cost is exponential in branch structure; {!run_exact} caps the
     state-set size and fails rather than degrade silently. *)
 
-val run_exact :
-  ?max_states:int -> Cache_model.config -> Program.t -> Report.point array
+val run_exact : Cache_model.config -> Program.t -> Report.point array
 (** Classify every point exactly, for any of the three policies.  Raises
-    [Failure] if the reachable-state set ever exceeds [max_states]
-    (default 65536). *)
+    [Failure] if the reachable-state set ever exceeds 65536 states. *)

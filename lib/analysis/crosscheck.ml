@@ -26,7 +26,7 @@ let dynamic_policy (cfg : Cache_model.config) =
   in
   Gc_cache.Set_assoc.create ~sets:cfg.sets ~ways:cfg.ways ~make_way_policy
 
-let observe ?max_paths (cfg : Cache_model.config) (p : Program.t) =
+let observe (cfg : Cache_model.config) (p : Program.t) =
   let counts = Array.make p.Program.points (0, 0) in
   List.iter
     (fun path ->
@@ -40,7 +40,7 @@ let observe ?max_paths (cfg : Cache_model.config) (p : Program.t) =
           | Gc_cache.Policy.Hit _ -> counts.(point) <- (hits + 1, misses)
           | Gc_cache.Policy.Miss _ -> counts.(point) <- (hits, misses + 1))
         path)
-    (Program.executions ?max_paths p);
+    (Program.executions p);
   counts
 
 let check_run ~observed (run : Report.run) =
@@ -67,14 +67,14 @@ let check_run ~observed (run : Report.run) =
              }
          else None)
 
-let check ?(unsound = false) ?max_paths programs configs =
+let check ?(unsound = false) programs configs =
   let runs = ref 0 and points_checked = ref 0 and always = ref 0 in
   let contradictions = ref [] in
   List.iter
     (fun (name, program) ->
       List.iter
         (fun (cfg : Cache_model.config) ->
-          let observed = observe ?max_paths cfg program in
+          let observed = observe cfg program in
           let engines =
             if cfg.policy = Cache_model.Lru then
               [ Engine.Exact; (if unsound then Engine.Age_unsound else Engine.Age) ]

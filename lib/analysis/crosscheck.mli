@@ -37,8 +37,7 @@ val dynamic_policy : Cache_model.config -> Gc_cache.Policy.t
 (** The simulator-side twin of a config: {!Gc_cache.Set_assoc} around the
     matching way policy. *)
 
-val observe :
-  ?max_paths:int -> Cache_model.config -> Program.t -> (int * int) array
+val observe : Cache_model.config -> Program.t -> (int * int) array
 (** Per-point [(hits, misses)] accumulated over every (capped) execution
     path, each replayed through a fresh checked simulator. *)
 
@@ -47,7 +46,6 @@ val check_run :
 
 val check :
   ?unsound:bool ->
-  ?max_paths:int ->
   (string * Program.t) list ->
   Cache_model.config list ->
   summary

@@ -82,7 +82,9 @@ let unrolled_length t =
    [max_paths] partial prefixes alive.  Each prefix is a reversed
    [(point, item)] list; deterministic truncation keeps the audit
    reproducible. *)
-let executions_with_flag ?(max_paths = 64) t =
+let max_paths = 64
+
+let executions_with_flag t =
   let truncated = ref false in
   let cap prefixes =
     let rec take n = function
@@ -108,8 +110,8 @@ let executions_with_flag ?(max_paths = 64) t =
   let paths = run [ [] ] t.body in
   (List.map (fun pre -> Array.of_list (List.rev pre)) paths, !truncated)
 
-let executions ?max_paths t = fst (executions_with_flag ?max_paths t)
-let truncated ?max_paths t = snd (executions_with_flag ?max_paths t)
+let executions t = fst (executions_with_flag t)
+let truncated t = snd (executions_with_flag t)
 
 let pp fmt t =
   let open Format in

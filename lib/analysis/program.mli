@@ -51,15 +51,15 @@ val unrolled_length : t -> int
 (** Dynamic accesses on the longest path (loops multiplied out, branches
     counting their longer arm). *)
 
-val executions : ?max_paths:int -> t -> (int * int) array list
+val executions : t -> (int * int) array list
 (** Every concrete execution as a [(point, item)] sequence, one per
     resolution of the branch outcomes, in deterministic (then-first DFS)
-    order.  At most [max_paths] (default 64) are returned; programs whose
+    order.  At most 64 are returned; programs whose
     resolution space is larger are truncated, which keeps downstream
     cross-validation a sound {e partial} audit. *)
 
-val truncated : ?max_paths:int -> t -> bool
-(** Whether {!executions} with the same cap drops some resolutions. *)
+val truncated : t -> bool
+(** Whether {!executions} drops some resolutions. *)
 
 val pp : Format.formatter -> t -> unit
 (** Structured listing, one point per line ([@3 access 17]). *)

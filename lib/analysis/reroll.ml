@@ -43,12 +43,15 @@ let rec reroll_range ~max_period (items : int array) lo hi =
   done;
   List.rev !specs
 
-let of_items ?(max_period = 256) blocks items =
+(* Longest candidate loop body at the top level. *)
+let max_period = 256
+
+let of_items blocks items =
   Program.make blocks
     (reroll_range ~max_period items 0 (Array.length items))
 
-let of_trace ?max_period (trace : Gc_trace.Trace.t) =
-  of_items ?max_period trace.Gc_trace.Trace.blocks
+let of_trace (trace : Gc_trace.Trace.t) =
+  of_items trace.Gc_trace.Trace.blocks
     trace.Gc_trace.Trace.requests
 
 let compression p =

@@ -9,12 +9,11 @@
     re-rolling never changes what the program {e does}, only how compactly
     the analyses traverse it. *)
 
-val of_items :
-  ?max_period:int -> Gc_trace.Block_map.t -> int array -> Program.t
-(** [of_items blocks items] re-rolls a flat request sequence.  [max_period]
-    (default 256) bounds the candidate loop-body length. *)
+val of_items : Gc_trace.Block_map.t -> int array -> Program.t
+(** [of_items blocks items] re-rolls a flat request sequence.  Candidate
+    loop bodies are at most 256 items long. *)
 
-val of_trace : ?max_period:int -> Gc_trace.Trace.t -> Program.t
+val of_trace : Gc_trace.Trace.t -> Program.t
 (** {!of_items} over a trace's requests, keeping its block map. *)
 
 val compression : Program.t -> float

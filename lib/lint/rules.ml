@@ -196,13 +196,13 @@ let all =
       rationale =
         "Deadlines in the serving layer compose: the effective per-job \
          deadline is min(server deadline, client budget minus queue \
-         sojourn), and every constant in that chain must trace back to \
-         Server.config so operators can tune it and drills can shrink it.  \
-         A numeric literal wired straight into a deadline, timeout, or \
-         budget_ms field or argument is invisible to configuration — it \
-         silently wins (or loses) against the propagated budget.  The one \
-         sanctioned home for such literals is [default_config], where they \
-         are the documented defaults.";
+         sojourn).  A numeric literal wired straight into a deadline, \
+         timeout, or budget_ms field or argument silently wins (or loses) \
+         against the propagated budget, and hides where the bound comes \
+         from.  The rule allows no such inline literal outside \
+         [default_config], where the tunable defaults are documented; a \
+         bound that is not tunable is a named constant with its reason \
+         beside it (as the server's write timeout is).";
       example = "Pool.run pool { cfg with deadline = 5.0 } job";
       fix =
         "derive the value from Server.config (or a caller-supplied \

@@ -37,9 +37,13 @@ let all_subsets mask =
   in
   go mask []
 
+(* Memo-table cap: offline GC caching is NP-complete, so the search fails
+   rather than exhaust memory. *)
+let max_states = 5_000_000
+
 (* Shared solver core: returns the memo table plus the dense encoding so
    [solve_schedule] can reconstruct an optimal schedule. *)
-let solve_core ?(max_states = 5_000_000) ~k trace =
+let solve_core ~k trace =
   let universe = Gc_trace.Trace.universe trace in
   let u = Array.length universe in
   if u > 62 then invalid_arg "Exact_gc.solve: more than 62 distinct items";
@@ -108,12 +112,12 @@ let solve_core ?(max_states = 5_000_000) ~k trace =
   let cost = go 0 0 in
   (cost, memo, universe, block_mask, requests)
 
-let solve ?max_states ~k trace =
-  let cost, _, _, _, _ = solve_core ?max_states ~k trace in
+let solve ~k trace =
+  let cost, _, _, _, _ = solve_core ~k trace in
   cost
 
-let solve_schedule ?max_states ~k trace =
-  let total, memo, universe, block_mask, requests = solve_core ?max_states ~k trace in
+let solve_schedule ~k trace =
+  let total, memo, universe, block_mask, requests = solve_core ~k trace in
   let n = Array.length requests in
   let cost_of pos cache =
     if pos = n then Some 0

@@ -9,13 +9,12 @@
     Used to validate the reduction of Theorem 1, the clairvoyant heuristic,
     and every online policy's cost on randomized small instances. *)
 
-val solve : ?max_states:int -> k:int -> Gc_trace.Trace.t -> int
+val solve : k:int -> Gc_trace.Trace.t -> int
 (** Optimal number of misses.  Requires the trace to touch at most 62
     distinct items.  Raises [Failure] if the memo table would exceed
-    [max_states] (default [5_000_000]). *)
+    5,000,000 states. *)
 
-val solve_schedule :
-  ?max_states:int -> k:int -> Gc_trace.Trace.t -> int * Schedule.t
+val solve_schedule : k:int -> Gc_trace.Trace.t -> int * Schedule.t
 (** Like {!solve}, but also reconstructs one optimal schedule from the memo
     table (per-access loads and evictions) — e.g. to render the paper's
     Figure-2 space-time diagrams with [Gc_plot.Occupancy]. *)

@@ -34,10 +34,10 @@ let reduce (inst : Varsize.instance) =
     active_sets;
   }
 
-let verify ?max_states inst =
+let verify inst =
   let reduced = reduce inst in
-  let vs_opt = Varsize.exact ?max_states inst in
-  let gc_opt = Exact_gc.solve ?max_states ~k:reduced.capacity reduced.trace in
+  let vs_opt = Varsize.exact inst in
+  let gc_opt = Exact_gc.solve ~k:reduced.capacity reduced.trace in
   if vs_opt = gc_opt then Ok (vs_opt, gc_opt)
   else
     Error

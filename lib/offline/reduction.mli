@@ -19,6 +19,6 @@ type t = {
 
 val reduce : Varsize.instance -> t
 
-val verify : ?max_states:int -> Varsize.instance -> (int * int, string) result
+val verify : Varsize.instance -> (int * int, string) result
 (** Solve both sides exactly; [Ok (varsize_opt, gc_opt)] when they agree,
     [Error _] describing the mismatch otherwise. *)

@@ -16,7 +16,10 @@ let validate t =
         invalid_arg "Varsize: requested item larger than the cache")
     t.requests
 
-let exact ?(max_states = 5_000_000) t =
+(* Memo-table cap, as in [Exact_gc]. *)
+let max_states = 5_000_000
+
+let exact t =
   validate t;
   let m = Array.length t.sizes in
   if m > 30 then invalid_arg "Varsize.exact: more than 30 items";

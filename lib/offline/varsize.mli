@@ -16,9 +16,10 @@ val validate : instance -> unit
 (** Raises [Invalid_argument] on malformed instances (empty sizes, items out
     of range, an item larger than the cache that is requested, ...). *)
 
-val exact : ?max_states:int -> instance -> int
+val exact : instance -> int
 (** Optimal number of misses (memoized exhaustive search; small instances
-    only, at most 30 items). *)
+    only, at most 30 items).  Raises [Failure] if the memo table would
+    exceed 5,000,000 states. *)
 
 val random_instance :
   Gc_trace.Rng.t ->

@@ -1,4 +1,7 @@
-let render ?(max_items = 26) ~trace ~schedule () =
+(* Rows are labelled 'a'..'z'. *)
+let max_items = 26
+
+let render ~trace ~schedule =
   let n = Gc_trace.Trace.length trace in
   if Array.length schedule <> n then
     invalid_arg "Occupancy.render: schedule length differs from trace";

@@ -11,15 +11,10 @@
     Intended for small demonstration traces (≤ ~60 accesses, ≤ ~26 items):
     items are labelled a-z by first appearance. *)
 
-val render :
-  ?max_items:int ->
-  trace:Gc_trace.Trace.t ->
-  schedule:Gc_offline.Schedule.t ->
-  unit ->
-  string
+val render : trace:Gc_trace.Trace.t -> schedule:Gc_offline.Schedule.t -> string
 (** Rows are items (labelled by first residency); columns are accesses.
     Cell legend: ['#'] resident and requested this access, ['='] resident,
     [' '] absent, ['!'] requested but absent would be a model violation and
     raises.  A header row marks misses with ['*'].  Raises
-    [Invalid_argument] if the trace exceeds [max_items] (default 26)
-    distinct items. *)
+    [Invalid_argument] if the schedule makes more than 26 distinct items
+    resident. *)

@@ -1,5 +1,4 @@
 module Client = Gc_serve.Client
-module Clock = Gc_prof.Clock
 module Rng = Gc_trace.Rng
 
 type state = Up | Suspect | Down
@@ -93,9 +92,8 @@ let pick_rotation t tier =
   let arr = Array.of_list tier in
   arr.(t.cursor mod Array.length arr)
 
-let pick ?(avoid = []) t =
+let pick ?(avoid = []) t ~now =
   locked t (fun () ->
-      let now = Clock.now_s () in
       match tier_of t ~now ~avoid with
       | [] -> assert false (* pool is never empty *)
       | [ i ] -> i
@@ -118,7 +116,7 @@ let pick ?(avoid = []) t =
 
 (* ----------------------------------------------------- health updates *)
 
-let schedule_reprobe t ep =
+let schedule_reprobe t ep ~now =
   (* Exponential backoff past the Down threshold, jittered so a replica
      set never synchronizes its probes. *)
   let over = max 0 (ep.e_fails - down_after) in
@@ -128,16 +126,16 @@ let schedule_reprobe t ep =
   in
   let j = reprobe_jitter in
   let factor = 1. -. j +. (2. *. j *. Rng.float t.rng 1.) in
-  ep.e_next_probe <- Clock.now_s () +. (base *. factor)
+  ep.e_next_probe <- now +. (base *. factor)
 
 let mark_up ep =
   ep.e_fails <- 0;
   ep.e_state <- Up
 
-let mark_failed t ep =
+let mark_failed t ep ~now =
   ep.e_fails <- ep.e_fails + 1;
   ep.e_state <- (if ep.e_fails >= down_after then Down else Suspect);
-  schedule_reprobe t ep
+  schedule_reprobe t ep ~now
 
 let note_ok t i ~latency_s =
   locked t (fun () ->
@@ -148,14 +146,13 @@ let note_ok t i ~latency_s =
          else
            (ewma_alpha *. latency_s) +. ((1. -. ewma_alpha) *. ep.e_ewma)))
 
-let note_failure t i = locked t (fun () -> mark_failed t t.eps.(i))
+let note_failure t i ~now = locked t (fun () -> mark_failed t t.eps.(i) ~now)
 
-let note_probe t i ~ok =
+let note_probe t i ~now ~ok =
   locked t (fun () ->
       let ep = t.eps.(i) in
-      if ok then mark_up ep else mark_failed t ep)
+      if ok then mark_up ep else mark_failed t ep ~now)
 
-let due_probes t =
+let due_probes t ~now =
   locked t (fun () ->
-      let now = Clock.now_s () in
       indices_where t (fun _ ep -> ep.e_state <> Up && now >= ep.e_next_probe))

@@ -25,7 +25,10 @@
     health probes) and the pool only decides {e where to send next}.
 
     Thread-safe (one mutex); randomness comes from a seeded
-    {!Gc_trace.Rng}, time from the monotonic {!Gc_prof.Clock}. *)
+    {!Gc_trace.Rng}.  Time is passed in by the caller as [~now], a
+    monotonic reading in seconds (the client passes
+    {!Gc_prof.Clock.now_s}), never read here, as {!Breaker} takes it:
+    tests step a clock through the health machine instead of sleeping. *)
 
 type state = Up | Suspect | Down
 
@@ -52,8 +55,8 @@ val length : t -> int
 val addr : t -> int -> Gc_serve.Client.addr
 val state : t -> int -> state
 
-val pick : ?avoid:int list -> t -> int
-(** Choose an endpoint for the next request: healthiest non-empty tier
+val pick : ?avoid:int list -> t -> now:float -> int
+(** Choose an endpoint for the request sent at [now]: healthiest non-empty tier
     (Up, then Suspect plus re-probe-due Down, then Down), p2c or
     rotation within the tier, skipping [avoid] — unless [avoid] covers
     every endpoint, in which case it is ignored (the pool always
@@ -63,16 +66,16 @@ val note_ok : t -> int -> latency_s:float -> unit
 (** A request to endpoint [i] succeeded in [latency_s] seconds: reset it
     to Up and fold the sample into its EWMA. *)
 
-val note_failure : t -> int -> unit
-(** A request to endpoint [i] failed at transport level: bump its
-    consecutive-failure count (Suspect / Down per the thresholds) and
-    schedule the jittered re-probe. *)
+val note_failure : t -> int -> now:float -> unit
+(** A request to endpoint [i] failed at transport level at [now]: bump
+    its consecutive-failure count (Suspect / Down per the thresholds) and
+    schedule the jittered re-probe from [now]. *)
 
-val note_probe : t -> int -> ok:bool -> unit
+val note_probe : t -> int -> now:float -> ok:bool -> unit
 (** Outcome of an out-of-band health probe: success restores Up (no
     latency sample — probes answer from a hot path and would skew the
     EWMA), failure re-parks the endpoint. *)
 
-val due_probes : t -> int list
-(** Non-Up endpoints whose re-probe deadline has passed, in index order
+val due_probes : t -> now:float -> int list
+(** Non-Up endpoints whose re-probe deadline has passed at [now], in index order
     — the set an external prober should health-check now. *)

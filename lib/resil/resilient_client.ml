@@ -160,17 +160,15 @@ let with_id_gen ~next json =
   | Json.Obj fields -> (json, List.assoc_opt "id" fields)
   | _ -> (json, None)
 
-let retryable ~idempotent = function
+let retryable = function
   | A_open -> false
   | A_rejected (kind, _) ->
-      idempotent
-      && (kind = Protocol.kind_overloaded || kind = Protocol.kind_expired)
-  | A_stale _ -> idempotent
+      kind = Protocol.kind_overloaded || kind = Protocol.kind_expired
+  | A_stale _ -> true
   | A_transport { Client.kind; _ } -> (
-      idempotent
-      && match kind with
-         | Client.Refused | Client.Timeout | Client.Reset -> true
-         | Client.Protocol -> false)
+      match kind with
+      | Client.Refused | Client.Timeout | Client.Reset -> true
+      | Client.Protocol -> false)
 
 let failure_of_give_up = function
   | { Retry.last_error = A_open; _ } -> Open_circuit
@@ -215,8 +213,8 @@ let probe t =
         | Ok _ -> true
         | Error _ -> false
       in
-      Endpoint_pool.note_probe t.pool i ~ok)
-    (Endpoint_pool.due_probes t.pool)
+      Endpoint_pool.note_probe t.pool i ~now:(Clock.now_s ()) ~ok)
+    (Endpoint_pool.due_probes t.pool ~now:(Clock.now_s ()))
 
 let create_set ?(timeout = 60.) ?(retry = Retry.default)
     ?(retry_budget = Some (Token_bucket.create ())) ?hedge ?pool_config
@@ -262,7 +260,7 @@ let account t i outcome ~latency =
       Endpoint_pool.note_ok t.pool i ~latency_s:latency
   | Error (A_transport _ | A_stale _) ->
       chan_record ch ~ok:false;
-      Endpoint_pool.note_failure t.pool i
+      Endpoint_pool.note_failure t.pool i ~now:(Clock.now_s ())
   | Error A_open -> ()
 
 let raw_attempt t i json sent_id hint =
@@ -287,7 +285,7 @@ let attempt_ep t i json sent_id hint =
    Closed breaker has no side effect, so a cancelled loser can never
    strand the half-open probe slot. *)
 let hedge_target t ~primary =
-  let i = Endpoint_pool.pick ~avoid:[ primary ] t.pool in
+  let i = Endpoint_pool.pick ~avoid:[ primary ] t.pool ~now:(Clock.now_s ()) in
   if
     i <> primary
     && Endpoint_pool.state t.pool i = Endpoint_pool.Up
@@ -423,48 +421,44 @@ let hedged_attempt t delay primary json sent_id hint =
                  message = "hedged attempt produced no result";
                }))
 
-let attempt_on t ~idempotent i json sent_id hint =
+let attempt_on t i json sent_id hint =
   match t.hedge with
-  | Some delay
-    when idempotent
-         && Endpoint_pool.length t.pool > 1
-         && chan_closed t.chans.(i) ->
+  | Some delay when Endpoint_pool.length t.pool > 1 && chan_closed t.chans.(i)
+    ->
       hedged_attempt t delay i json sent_id hint
   | _ -> attempt_ep t i json sent_id hint
 
-(* Transport-level failures of idempotent requests fail over to
-   another replica inside the same attempt, with no backoff: the
-   failure already cost its timeout, and another replica may answer
-   immediately.  [A_open] fails over unconditionally — the breaker
-   refused before anything was sent, so even a non-idempotent request
-   is safe elsewhere. *)
-let failover_worthy ~idempotent = function
-  | A_open -> true
+(* Transport-level failures fail over to another replica inside the
+   same attempt, with no backoff: the failure already cost its timeout,
+   and another replica may answer immediately.  [A_open] fails over
+   too — the breaker refused before anything was sent. *)
+let failover_worthy = function
+  | A_open
   | A_transport { Client.kind = Client.Refused | Client.Timeout | Client.Reset; _ }
     ->
-      idempotent
+      true
   | A_transport _ | A_stale _ | A_rejected _ -> false
 
-let round t ~idempotent json sent_id hint =
+let round t json sent_id hint =
   let n = Endpoint_pool.length t.pool in
   let rec go tried i =
-    match attempt_on t ~idempotent i json sent_id hint with
+    match attempt_on t i json sent_id hint with
     | Ok r -> Ok r
     | Error e ->
         let tried = i :: tried in
-        if failover_worthy ~idempotent e && List.length tried < n then begin
+        if failover_worthy e && List.length tried < n then begin
           t.n_failovers <- t.n_failovers + 1;
-          go tried (Endpoint_pool.pick ~avoid:tried t.pool)
+          go tried (Endpoint_pool.pick ~avoid:tried t.pool ~now:(Clock.now_s ()))
         end
         else Error e
   in
-  go [] (Endpoint_pool.pick t.pool)
+  go [] (Endpoint_pool.pick t.pool ~now:(Clock.now_s ()))
 
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let request ?(idempotent = true) t json =
+let request t json =
   locked t (fun () ->
       let json, sent_id =
         with_id_gen
@@ -479,7 +473,7 @@ let request ?(idempotent = true) t json =
          keeps a fleet of these clients from holding an overload in its
          metastable state. *)
       let gated e =
-        retryable ~idempotent e
+        retryable e
         && match t.retry_budget with
            | None -> true
            | Some b -> Token_bucket.try_take b
@@ -491,7 +485,7 @@ let request ?(idempotent = true) t json =
           (fun ~attempt ->
             if attempt > 1 then t.n_retries <- t.n_retries + 1;
             hint := 0.;
-            round t ~idempotent json sent_id hint)
+            round t json sent_id hint)
       with
       | Ok reply ->
           Option.iter Token_bucket.on_success t.retry_budget;

@@ -9,13 +9,12 @@
       failure drops the cached connection and the retry policy dials
       again, so a server restart (e.g. under [gcserved supervise]) costs
       one backoff delay, not an error surfaced to the caller;
-    - {b idempotent-request retry keyed on the id echo} — every request
-      is stamped with a fresh [id] (unless the caller set one); a reply
-      whose echoed id differs is a stale leftover on a reused stream,
-      {e proving} the reply is not ours — the connection is dropped and
-      the request retried.  Only idempotent requests retry (the default:
-      every protocol op is a pure computation), and [Protocol]-kind
-      faults never do;
+    - {b retry keyed on the id echo} — every request is stamped with a
+      fresh [id] (unless the caller set one); a reply whose echoed id
+      differs is a stale leftover on a reused stream, {e proving} the
+      reply is not ours — the connection is dropped and the request
+      retried.  Every protocol op is a pure computation, so any request
+      may be sent again; [Protocol]-kind faults never retry;
     - {b clean overloaded/expired/draining classification} — a framed
       ["overloaded"] or ["expired"] reply is retried with backoff (the
       shed was the server asking for exactly that) and surfaces as
@@ -41,17 +40,16 @@
       replicas, power-of-two-choices on observed latency (deterministic
       rotation until two latency samples exist, or with [p2c] off);
     - {b transparent failover} — a [Refused]/[Timeout]/[Reset] failure
-      of an idempotent request moves to another replica {e within} the
-      same attempt, with no backoff delay; an endpoint whose breaker is
-      open is skipped before anything is sent (safe even for
-      non-idempotent requests).  Backoff only happens between whole
-      rounds, when every eligible replica has failed;
+      moves to another replica {e within} the same attempt, with no
+      backoff delay; an endpoint whose breaker is open is skipped before
+      anything is sent.  Backoff only happens between whole rounds, when
+      every eligible replica has failed;
     - {b per-endpoint breakers} — one {!Breaker} per replica, so a single melting endpoint trips in isolation while the
       rest of the set keeps serving.  A one-endpoint client has no
       breaker: with nowhere else to route, an open circuit could only
       turn its retries into {!Open_circuit};
-    - {b hedged requests} (opt-in) — when an idempotent request has not
-      settled within a fixed hedge delay, a second attempt fires at
+    - {b hedged requests} (opt-in) — when a request has not settled
+      within a fixed hedge delay, a second attempt fires at
       another Up replica.  First reply wins; the loser's blocked read is
       woken by a socket shutdown and its result discarded, which the
       id-echo dedupe makes safe.  Hedges only target replicas with a Closed breaker, so a
@@ -102,11 +100,10 @@ val create :
   t
 (** [create addr] is [create_set [addr]]: the one-endpoint client. *)
 
-val request :
-  ?idempotent:bool -> t -> Gc_obs.Json.t -> (Gc_obs.Json.t, failure) result
-(** Send one request, retrying per policy.  [idempotent] (default [true])
-    gates every retry, failover and hedge; with [~idempotent:false] the
-    first classified failure is final. *)
+val request : t -> Gc_obs.Json.t -> (Gc_obs.Json.t, failure) result
+(** Send one request, retrying, failing over and hedging per policy.
+    Every protocol op is a pure computation, so every request is safe to
+    send again. *)
 
 val probe : t -> unit
 (** Health-check every endpoint whose re-probe deadline has passed,

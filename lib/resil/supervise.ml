@@ -9,14 +9,11 @@ type config = {
   argv : string array;
   health_addr : Client.addr;
   health_interval : float;
-  health_timeout : float;
   startup_grace : float;
   wedge_threshold : int;
   restart_window : float;
   max_restarts : int;
   backoff : Retry.policy;
-  term_grace : float;
-  drain_grace : float;
   seed : int;
 }
 
@@ -25,16 +22,21 @@ let default_config ~argv ~health_addr =
     argv;
     health_addr;
     health_interval = 0.25;
-    health_timeout = 2.;
     startup_grace = 10.;
     wedge_threshold = 8;
     restart_window = 60.;
     max_restarts = 5;
     backoff = { Retry.default with Retry.base_delay = 0.1; max_delay = 5. };
-    term_grace = 5.;
-    drain_grace = 30.;
     seed = 0;
   }
+
+(* Per-probe reply budget, seconds. *)
+let health_timeout = 2.
+
+(* SIGTERM-to-SIGKILL grace for a wedged child, and how long a
+   stop-requested drain may take before SIGKILL, seconds. *)
+let term_grace = 5.
+let drain_grace = 30.
 
 type event =
   | Spawned of int
@@ -103,7 +105,7 @@ let health_req = Json.Obj [ ("op", Json.String "health") ]
 
 let probe config =
   match
-    Client.request_result ~timeout:config.health_timeout config.health_addr
+    Client.request_result ~timeout:health_timeout config.health_addr
       health_req
   with
   | Ok _ -> true
@@ -178,7 +180,7 @@ let run ?(on_event = fun (_ : event) -> ()) ~stop config =
     end
   in
   let drain pid =
-    let status = put_down pid ~grace:config.drain_grace in
+    let status = put_down pid ~grace:drain_grace in
     on_event (Exited (pid, status));
     { result = `Drained; restarts = !restarts }
   in
@@ -193,7 +195,7 @@ let run ?(on_event = fun (_ : event) -> ()) ~stop config =
           after_death ()
       | `Wedge failures ->
           on_event (Wedged (pid, failures));
-          let status = put_down pid ~grace:config.term_grace in
+          let status = put_down pid ~grace:term_grace in
           on_event (Exited (pid, status));
           after_death ()
     end

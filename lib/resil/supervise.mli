@@ -14,11 +14,12 @@
     v}
 
     - {b liveness} is probed with the protocol's own [health] op over the
-      socket — the probe proves the full stack (socket, framing,
-      reader) answers, not merely that the pid exists;
+      socket, each probe given 2s to answer — the probe proves the full
+      stack (socket, framing, reader) answers, not merely that the pid
+      exists;
     - {b crash} (the child exits) and {b wedge} ([wedge_threshold]
       consecutive probe failures while the pid lives; a wedged child is
-      SIGTERMed, given [term_grace], then SIGKILLed) both lead to a
+      SIGTERMed, given 5s, then SIGKILLed) both lead to a
       restart with a {!Gc_exec.Retry}-shaped backoff delay, jitter seeded
       from [seed];
     - the {b restart budget} is a sliding window: when a restart would be
@@ -31,7 +32,7 @@
       stops the flapping);
     - {b stop} (the [stop] token, wired to SIGTERM/SIGINT by the CLI)
       forwards SIGTERM to the child and waits out its own two-stage
-      drain; only if the child overstays [drain_grace] is it SIGKILLed.
+      drain; only if the child overstays 30s is it SIGKILLed.
 
     The supervisor itself is single-threaded and blocking — embed it in a
     thread (as [gcchaos] does) if you need it concurrent. *)
@@ -40,7 +41,6 @@ type config = {
   argv : string array;  (** Child command; [argv.(0)] is the executable. *)
   health_addr : Gc_serve.Client.addr;
   health_interval : float;  (** Seconds between probes (default 0.25). *)
-  health_timeout : float;  (** Per-probe reply budget (default 2). *)
   startup_grace : float;
       (** Budget for the first healthy probe after a spawn (default 10). *)
   wedge_threshold : int;
@@ -49,12 +49,6 @@ type config = {
   restart_window : float;  (** Sliding budget window, seconds (default 60). *)
   max_restarts : int;  (** Restarts allowed per window (default 5). *)
   backoff : Gc_exec.Retry.policy;  (** Shapes the delay before each respawn. *)
-  term_grace : float;
-      (** SIGTERM-to-SIGKILL grace when putting down a wedged child
-          (default 5). *)
-  drain_grace : float;
-      (** How long a stop-requested drain may take before SIGKILL
-          (default 30). *)
   seed : int;  (** Backoff jitter stream. *)
 }
 

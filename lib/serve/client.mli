@@ -7,8 +7,7 @@
 
     Every call classifies its failures into {!error_kind}s, which is what
     retry policy hangs off ({!Gc_resil.Resilient_client} retries
-    [Refused]/[Timeout]/[Reset] for idempotent requests, never
-    [Protocol]). *)
+    [Refused]/[Timeout]/[Reset], never [Protocol]). *)
 
 type addr =
   | Unix_path of string
@@ -39,8 +38,8 @@ val send_result : conn -> Gc_obs.Json.t -> (unit, error) result
 (** Frame and send one document; a gone peer is [Reset]. *)
 
 val recv_result : ?timeout:float -> conn -> (Gc_obs.Json.t, error) result
-(** Await one framed document of at most {!Frame.default_max_frame}
-    bytes (default timeout 60s): EOF is [Reset], framing faults are
+(** Await one framed document of at most 1 MiB, {!Frame}'s cap
+    (default timeout 60s): EOF is [Reset], framing faults are
     [Protocol], expiry is [Timeout]. *)
 
 val request_result :

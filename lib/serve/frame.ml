@@ -2,7 +2,9 @@ module Json = Gc_obs.Json
 module Clock = Gc_prof.Clock
 
 let header_bytes = 4
-let default_max_frame = 1 lsl 20
+
+(* The cap on a frame's payload length, for every reader. *)
+let max_frame = 1 lsl 20
 
 type error = { offset : int; reason : string }
 
@@ -37,14 +39,14 @@ let length_of_header s pos =
 (* The cap is enforced on the declared length, before the payload is
    sliced out — a length bomb never causes an allocation bigger than the
    error record. *)
-let check_length ~max_frame len =
+let check_length len =
   if len = 0 then Error (fail 0 "empty frame (zero-length payload)")
   else if len > max_frame then
     Error
       (fail 0 "frame length %d exceeds the %d-byte frame cap" len max_frame)
   else Ok len
 
-let decode ?(max_frame = default_max_frame) ?(pos = 0) s =
+let decode ?(pos = 0) s =
   let total = String.length s in
   if pos < 0 || pos > total then
     Error (fail 0 "start position %d outside the %d-byte input" pos total)
@@ -53,7 +55,7 @@ let decode ?(max_frame = default_max_frame) ?(pos = 0) s =
       (fail (total - pos) "truncated header: %d of %d length bytes"
          (total - pos) header_bytes)
   else
-    match check_length ~max_frame (length_of_header s pos) with
+    match check_length (length_of_header s pos) with
     | Error e -> Error e
     | Ok len ->
         if total - pos - header_bytes < len then
@@ -120,7 +122,7 @@ let read_exact fd buf off len deadline =
   in
   go off len 0
 
-let read_fd ?(max_frame = default_max_frame) ?idle_timeout ~frame_timeout fd =
+let read_fd ?idle_timeout ~frame_timeout fd =
   let now = Clock.now_s () in
   let header = Bytes.create header_bytes in
   (* First byte: idle budget.  Rest of the frame: the frame budget, so a
@@ -145,8 +147,7 @@ let read_fd ?(max_frame = default_max_frame) ?idle_timeout ~frame_timeout fd =
                (1 + consumed) header_bytes)
       | `Ok -> (
           match
-            check_length ~max_frame
-              (length_of_header (Bytes.unsafe_to_string header) 0)
+            check_length (length_of_header (Bytes.unsafe_to_string header) 0)
           with
           | Error e -> Fault e
           | Ok len -> (

@@ -5,8 +5,8 @@
     document per frame, parsed by the hardened {!Gc_obs.Json} decoder with
     its strict number grammar and depth limit).  Every defence is explicit:
 
-    - the length is checked against the frame cap {e before} any payload
-      buffer is allocated, so a length bomb ([0xFFFFFFFF] followed by
+    - the length is checked against the 1 MiB frame cap {e before} any
+      payload buffer is allocated, so a length bomb ([0xFFFFFFFF] followed by
       nothing) costs four bytes of reading and one error record;
     - a zero-length frame is a protocol error (a frame must carry a
       document);
@@ -21,9 +21,6 @@
 val header_bytes : int
 (** 4. *)
 
-val default_max_frame : int
-(** 1 MiB: the default cap on a frame's payload length. *)
-
 type error = { offset : int; reason : string }
 (** A positioned decode diagnostic; [offset] is relative to the start of
     the frame (offset 0 = first header byte, {!header_bytes} = first
@@ -36,8 +33,7 @@ val encode : Gc_obs.Json.t -> string
 (** Header plus compact JSON payload.  Raises [Invalid_argument] if the
     payload exceeds the wire format's 2^32 - 1 byte ceiling. *)
 
-val decode :
-  ?max_frame:int -> ?pos:int -> string -> (Gc_obs.Json.t * int, error) result
+val decode : ?pos:int -> string -> (Gc_obs.Json.t * int, error) result
 (** Decode one frame starting at byte [pos] (default 0), returning the
     document and the position just past the frame.  Errors are positioned
     relative to [pos].  Never allocates more than the payload length of a
@@ -60,7 +56,6 @@ type read_outcome =
           (slow-loris), or no frame began within [idle_timeout]. *)
 
 val read_fd :
-  ?max_frame:int ->
   ?idle_timeout:float ->
   frame_timeout:float ->
   Unix.file_descr ->

@@ -14,14 +14,11 @@ type config = {
   tcp : (string * int) option;
   queue_depth : int;
   workers : int;
-  min_workers : int;
   deadline : float;
   grace : float;
   retries : int;
   backoff : float;
-  max_frame : int;
   frame_timeout : float;
-  max_connections : int;
   codel_target : float;
   codel_interval : float;
   retry_after_ms : int;
@@ -36,14 +33,11 @@ let default_config =
     tcp = None;
     queue_depth = 64;
     workers = max 1 (Domain.recommended_domain_count () - 1);
-    min_workers = 1;
     deadline = 30.;
     grace = 0.25;
     retries = 1;
     backoff = 0.05;
-    max_frame = Frame.default_max_frame;
     frame_timeout = 10.;
-    max_connections = 256;
     codel_target = 0.1;
     codel_interval = 0.5;
     retry_after_ms = 100;
@@ -55,6 +49,10 @@ let default_config =
 (* A write to a client that stops reading gives up after this many
    seconds. *)
 let write_timeout = 5.
+
+(* Open connections beyond this many are answered "overloaded" and
+   closed. *)
+let max_connections = 256
 
 (* Request-path spans.  Worker and reader sys-threads share domain 0, so
    the thread id is the Perfetto track; the request id rides in the span
@@ -630,8 +628,7 @@ let handle t conn json =
 let reader t conn =
   let rec loop () =
     match
-      Frame.read_fd ~max_frame:t.config.max_frame
-        ~frame_timeout:t.config.frame_timeout conn.fd
+      Frame.read_fd ~frame_timeout:t.config.frame_timeout conn.fd
     with
     | Frame.Eof -> ()
     | Frame.Frame json ->
@@ -671,7 +668,7 @@ let register_conn t cfd =
    with Unix.Unix_error _ | Invalid_argument _ -> ());
   Registry.incr t.c_accepted;
   Mutex.lock t.mu;
-  if List.length t.conns >= t.config.max_connections then begin
+  if List.length t.conns >= max_connections then begin
     Registry.incr t.c_shed;
     Registry.incr t.c_shed_depth;
     let hint = hint_locked t in
@@ -680,7 +677,7 @@ let register_conn t cfd =
       { fd = cfd; wmu = Mutex.create (); alive = true; refs = 1; jobs = [] }
     in
     reply_error t tmp ~retry_after_ms:hint Protocol.kind_overloaded
-      (Printf.sprintf "connection limit reached (%d)" t.config.max_connections);
+      (Printf.sprintf "connection limit reached (%d)" max_connections);
     try Unix.close cfd with Unix.Unix_error _ -> ()
   end
   else begin
@@ -775,9 +772,6 @@ let create config =
     invalid_arg "Server.create: no listener configured (socket_path or tcp)";
   if config.queue_depth < 1 then invalid_arg "Server.create: queue_depth < 1";
   if config.workers < 1 then invalid_arg "Server.create: workers < 1";
-  if config.min_workers < 1 then invalid_arg "Server.create: min_workers < 1";
-  if config.min_workers > config.workers then
-    invalid_arg "Server.create: min_workers > workers";
   if config.codel_target > 0. && config.codel_interval <= 0. then
     invalid_arg "Server.create: codel_interval <= 0 with codel enabled";
   if config.retry_after_ms < 1 then
@@ -818,7 +812,7 @@ let create config =
         Aimd.create
           ~cooldown:
             (if config.codel_interval > 0. then config.codel_interval else 0.5)
-          ~min_limit:config.min_workers ~max_limit:config.workers ();
+          ~max_limit:config.workers ();
       codel =
         Codel.create ~target:config.codel_target
           ~interval:config.codel_interval;

@@ -40,15 +40,13 @@ type config = {
   socket_path : string option;  (** Unix-domain listener. *)
   tcp : (string * int) option;  (** Optional TCP listener (host, port). *)
   queue_depth : int;  (** Admission-queue bound; beyond it, shed. *)
-  workers : int;  (** Worker threads; also the AIMD limit's ceiling. *)
-  min_workers : int;  (** The AIMD concurrency limit's floor. *)
+  workers : int;
+      (** Worker threads; also the AIMD limit's ceiling (its floor is 1). *)
   deadline : float;  (** Per-attempt wall-clock budget, seconds. *)
   grace : float;  (** Seconds past deadline before abandoning a wedged task. *)
   retries : int;  (** Extra attempts for {!Gc_exec.Pool.Transient} failures. *)
   backoff : float;  (** Base retry sleep, doubling per attempt. *)
-  max_frame : int;  (** Frame payload cap, bytes. *)
   frame_timeout : float;  (** Whole-frame delivery budget (slow-loris guard). *)
-  max_connections : int;
   codel_target : float;
       (** Acceptable queue sojourn, seconds; [<= 0.] disables sojourn
           shedding (and the LIFO-under-overload switch). *)
@@ -73,11 +71,11 @@ type config = {
 
 val default_config : config
 (** No listeners configured (callers must set at least one); queue 64,
-    workers = cores - 1 (min 1), min_workers 1, deadline 30s, grace
-    0.25s, 1 retry, 1 MiB frames, 10s frame timeout, 256 connections,
-    CoDel target 100ms / interval 500ms, retry-after base 100ms, seed 0.
-    A write to a client that stops reading times out after 5s, a
-    constant. *)
+    workers = cores - 1 (min 1), deadline 30s, grace 0.25s, 1 retry,
+    10s frame timeout, CoDel target 100ms / interval 500ms, retry-after
+    base 100ms, seed 0.  Constants: frames are capped at 1 MiB
+    (see {!Frame}), connections past 256 are shed,
+    and a write to a client that stops reading times out after 5s. *)
 
 type t
 

@@ -211,7 +211,7 @@ let arbitrary_aimd_ops =
 
 let fuzz_aimd_bounded =
   fuzz "aimd: limit stays within [min, max]" arbitrary_aimd_ops (fun ops ->
-      let a = Aimd.create ~min_limit:2 ~max_limit:16 () in
+      let a = Aimd.create ~max_limit:16 () in
       let now = ref 0. in
       List.for_all
         (fun success ->
@@ -221,11 +221,11 @@ let fuzz_aimd_bounded =
             Aimd.on_congestion a ~now:!now
           end;
           let l = Aimd.limit a in
-          l >= 2 && l <= 16)
+          l >= 1 && l <= 16)
         ops)
 
 let test_aimd_shape () =
-  let a = Aimd.create ~cooldown:1. ~min_limit:1 ~max_limit:10 () in
+  let a = Aimd.create ~cooldown:1. ~max_limit:10 () in
   Alcotest.(check int) "starts wide" 10 (Aimd.limit a);
   Aimd.on_congestion a ~now:10.;
   Alcotest.(check int) "cut to 0.7" 7 (Aimd.limit a);

@@ -93,7 +93,7 @@ let test_occupancy_render () =
   let trace = Gc_trace.Trace.of_list blocks [ 0; 1; 0 ] in
   let policy = Gc_offline.Belady.clairvoyant ~k:2 trace in
   let sched, _ = Gc_offline.Schedule.record policy trace in
-  let chart = Occupancy.render ~trace ~schedule:sched () in
+  let chart = Occupancy.render ~trace ~schedule:sched in
   (* One miss (whole block loaded), then hits. *)
   Alcotest.(check bool) "miss marker" true (String.contains chart '*');
   Alcotest.(check bool) "request marker" true (String.contains chart '#');
@@ -104,7 +104,7 @@ let test_occupancy_rejects_bad_schedule () =
   let trace = Gc_trace.Trace.of_list blocks [ 0; 1 ] in
   let bad = [| { Gc_offline.Schedule.load = [ 0 ]; evict = [] };
                { Gc_offline.Schedule.load = []; evict = [] } |] in
-  match Occupancy.render ~trace ~schedule:bad () with
+  match Occupancy.render ~trace ~schedule:bad with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unserved request accepted"
 
@@ -114,7 +114,7 @@ let test_occupancy_matches_misses () =
   in
   let policy = Gc_offline.Belady.clairvoyant ~k:6 trace in
   let sched, metrics = Gc_offline.Schedule.record policy trace in
-  let chart = Occupancy.render ~trace ~schedule:sched () in
+  let chart = Occupancy.render ~trace ~schedule:sched in
   let stars =
     String.fold_left (fun acc c -> if c = '*' then acc + 1 else acc) 0 chart
   in

@@ -257,15 +257,6 @@ let test_rc_refused_is_classified () =
   | Ok _ -> Alcotest.fail "nothing was listening");
   Rc.close rc
 
-let test_rc_non_idempotent_single_shot () =
-  let rc = Rc.create ~retry:fast_retry (Client.Unix_path (fresh_sock ())) in
-  (match Rc.request ~idempotent:false rc health with
-  | Error (Rc.Transport (_, attempts)) ->
-      Alcotest.(check int) "exactly one attempt" 1 attempts
-  | Error f -> Alcotest.failf "wrong failure: %s" (Rc.string_of_failure f)
-  | Ok _ -> Alcotest.fail "nothing was listening");
-  Rc.close rc
-
 let test_rc_one_endpoint_has_no_breaker () =
   (* Seven refused attempts in one request would trip a default breaker
      after five; a lone endpoint has nowhere else to go, so the client
@@ -444,19 +435,19 @@ let pool_addrs n =
 let test_pool_state_machine () =
   let p = Pool.create ~config:pool_config ~seed:1 (pool_addrs 2) in
   Alcotest.(check string) "starts up" "up" (Pool.state_name (Pool.state p 0));
-  Pool.note_failure p 0;
+  Pool.note_failure p 0 ~now:0.;
   Alcotest.(check string)
     "one failure: suspect" "suspect"
     (Pool.state_name (Pool.state p 0));
-  Pool.note_failure p 0;
-  Pool.note_failure p 0;
+  Pool.note_failure p 0 ~now:0.;
+  Pool.note_failure p 0 ~now:0.;
   Alcotest.(check string)
     "three failures: down" "down"
     (Pool.state_name (Pool.state p 0));
   Alcotest.(check string)
     "the peer is untouched" "up"
     (Pool.state_name (Pool.state p 1));
-  Pool.note_probe p 0 ~ok:true;
+  Pool.note_probe p 0 ~now:0. ~ok:true;
   Alcotest.(check string)
     "probe success restores up" "up"
     (Pool.state_name (Pool.state p 0))
@@ -466,33 +457,34 @@ let test_pool_rotation_deterministic () =
   Alcotest.(check (list int))
     "round robin over the up tier"
     [ 0; 1; 2; 0; 1; 2 ]
-    (List.init 6 (fun _ -> Pool.pick p));
-  Alcotest.(check int) "avoid skips within the tier" 1 (Pool.pick ~avoid:[ 0; 2 ] p);
+    (List.init 6 (fun _ -> Pool.pick p ~now:0.));
+  Alcotest.(check int) "avoid skips within the tier" 1
+    (Pool.pick ~avoid:[ 0; 2 ] p ~now:0.);
   Alcotest.(check int)
     "avoid covering everything is ignored" 0
-    (Pool.pick ~avoid:[ 0; 1; 2 ] p)
+    (Pool.pick ~avoid:[ 0; 1; 2 ] p ~now:0.)
 
 let test_pool_routes_around_down () =
   let p = Pool.create ~config:pool_config ~seed:1 (pool_addrs 2) in
   for _ = 1 to 3 do
-    Pool.note_failure p 0
+    Pool.note_failure p 0 ~now:0.
   done;
   Alcotest.(check (list int))
     "only the healthy replica is picked"
     [ 1; 1; 1; 1 ]
-    (List.init 4 (fun _ -> Pool.pick p));
-  Gc_exec.Pool.nap 0.1;
+    (List.init 4 (fun _ -> Pool.pick p ~now:0.));
+  (* Down at 0 with a 0.05s base: due by 1.25 x 0.05. *)
   Alcotest.(check (list int)) "re-probe due after the deadline" [ 0 ]
-    (Pool.due_probes p);
-  Pool.note_probe p 0 ~ok:false;
+    (Pool.due_probes p ~now:0.1);
+  Pool.note_probe p 0 ~now:0.1 ~ok:false;
   Alcotest.(check (list int))
     "a failed probe re-parks it" []
-    (Pool.due_probes p);
-  Gc_exec.Pool.nap 0.15;
+    (Pool.due_probes p ~now:0.1);
+  (* The fourth failure doubles the base to 0.1s: due by 0.1 + 0.125. *)
   Alcotest.(check (list int))
     "due again after backoff" [ 0 ]
-    (Pool.due_probes p);
-  Pool.note_probe p 0 ~ok:true;
+    (Pool.due_probes p ~now:0.25);
+  Pool.note_probe p 0 ~now:0.25 ~ok:true;
   Alcotest.(check string)
     "recovered" "up"
     (Pool.state_name (Pool.state p 0))
@@ -507,8 +499,59 @@ let test_pool_p2c_prefers_faster () =
   Pool.note_ok p 0 ~latency_s:0.5;
   Pool.note_ok p 1 ~latency_s:0.01;
   for _ = 1 to 8 do
-    Alcotest.(check int) "always the faster replica" 1 (Pool.pick p)
+    Alcotest.(check int) "always the faster replica" 1 (Pool.pick p ~now:0.)
   done
+
+(* Replays the pool's jitter draws on a twin of its Rng, so every
+   re-probe deadline is known exactly.  p2c is off, so only failures
+   draw. *)
+let test_pool_backoff_schedule () =
+  let ra = pool_config.Pool.reprobe_after
+  and rmax = pool_config.Pool.reprobe_max in
+  let p = Pool.create ~config:pool_config ~seed:7 (pool_addrs 2) in
+  let twin = Gc_trace.Rng.create 7 in
+  let fail ?(ep = 0) ~now () =
+    Pool.note_failure p ep ~now;
+    1. -. 0.25 +. (2. *. 0.25 *. Gc_trace.Rng.float twin 1.)
+  in
+  let state () = Pool.state_name (Pool.state p 0) in
+  let due now = List.mem 0 (Pool.due_probes p ~now) in
+  (* Make the peer Suspect: with no Up endpoint, a Down one shares the
+     middle tier with it once its deadline passes. *)
+  ignore (fail ~ep:1 ~now:0. ());
+  ignore (fail ~now:0. ());
+  ignore (fail ~now:1. ());
+  Alcotest.(check string) "two failures: suspect" "suspect" (state ());
+  let f = fail ~now:2. () in
+  Alcotest.(check string) "the third failure: down" "down" (state ());
+  Alcotest.(check bool)
+    (Printf.sprintf "jitter factor %g in [0.75, 1.25]" f)
+    true
+    (f >= 0.75 && f <= 1.25);
+  let deadline = 2. +. (ra *. f) in
+  let before = Float.pred deadline in
+  Alcotest.(check bool) "not due before its deadline" false (due before);
+  Alcotest.(check (list int))
+    "outside the middle tier before its deadline" [ 1; 1 ]
+    (List.init 2 (fun _ -> Pool.pick p ~now:before));
+  Alcotest.(check bool) "due at its deadline" true (due deadline);
+  Alcotest.(check (list int))
+    "in the middle tier at its deadline" [ 0; 1 ]
+    (List.sort compare (List.init 2 (fun _ -> Pool.pick p ~now:deadline)));
+  (* Each further failure doubles the base, up to reprobe_max. *)
+  List.iteri
+    (fun i base ->
+      let now = 10. *. Float.of_int (i + 1) in
+      let f = fail ~now () in
+      let deadline = now +. (base *. f) in
+      Alcotest.(check bool)
+        (Printf.sprintf "failure %d: not due before %g" (i + 4) deadline)
+        false
+        (due (Float.pred deadline));
+      Alcotest.(check bool)
+        (Printf.sprintf "failure %d: due at %g" (i + 4) deadline)
+        true (due deadline))
+    [ 2. *. ra; 4. *. ra; rmax; rmax ]
 
 (* ---------------------------------------------------------- multi client *)
 
@@ -694,6 +737,8 @@ let () =
             test_pool_routes_around_down;
           Alcotest.test_case "p2c prefers the faster replica" `Quick
             test_pool_p2c_prefers_faster;
+          Alcotest.test_case "re-probe backoff schedule" `Quick
+            test_pool_backoff_schedule;
         ] );
       ( "resilient-client",
         [
@@ -702,8 +747,6 @@ let () =
             test_rc_reconnects_across_restart;
           Alcotest.test_case "refused is classified" `Quick
             test_rc_refused_is_classified;
-          Alcotest.test_case "non-idempotent is single-shot" `Quick
-            test_rc_non_idempotent_single_shot;
           Alcotest.test_case "one endpoint has no breaker" `Quick
             test_rc_one_endpoint_has_no_breaker;
           Alcotest.test_case "breaker fast-fails" `Quick test_rc_breaker_fast_fails;

@@ -171,6 +171,9 @@ let test_frame_errors () =
   (* Truncated payload. *)
   check_decode_error ~reason_has:"truncated frame" "\x00\x00\x00\x09{\"a\":1}"
 
+(* Frame's payload cap, 1 MiB. *)
+let frame_cap = 1 lsl 20
+
 let test_frame_length_bomb () =
   (* A maximal declared length with no payload: rejected on the declared
      length alone, allocating nothing close to the claim. *)
@@ -185,12 +188,16 @@ let test_frame_length_bomb () =
     (Printf.sprintf "bounded allocation (%.0f bytes)" allocated)
     true
     (allocated < 65_536.);
-  (* Over a tiny explicit cap, same story. *)
-  match Frame.decode ~max_frame:16 (Frame.encode (sim_req ())) with
+  (* A well-formed frame just over the 1 MiB cap, same story. *)
+  let over =
+    Frame.encode (Json.String (String.make frame_cap 'x'))
+  in
+  match Frame.decode over with
   | Error e ->
       Alcotest.(check bool)
         "names the cap" true
-        (Test_util.contains e.Frame.reason "16-byte frame cap")
+        (Test_util.contains e.Frame.reason
+           (Printf.sprintf "%d-byte frame cap" frame_cap))
   | Ok _ -> Alcotest.fail "decoded a frame over the cap"
 
 (* ---------------------------------------------- frame: deadline edges *)
@@ -299,8 +306,8 @@ let test_frame_eintr_storm () =
 
 (* Every property asserts totality (no exception) plus a positioned,
    non-empty diagnostic on rejection. *)
-let total_decode ?max_frame s =
-  match Frame.decode ?max_frame s with
+let total_decode s =
+  match Frame.decode s with
   | Ok _ -> true
   | Error e ->
       String.length e.Frame.reason > 0
@@ -334,9 +341,10 @@ let fuzz_truncations =
 let fuzz_length_bombs =
   (* A declared length beyond the cap is always rejected naming the cap,
      without allocating anything near the declared length. *)
-  let gen = QCheck.(pair (int_range 1025 Stdlib.max_int) small_string) in
+  let lo = frame_cap + 1 in
+  let gen = QCheck.(pair (int_range lo Stdlib.max_int) small_string) in
   fuzz "length bombs never allocate" gen (fun (declared, junk) ->
-      let declared = 1025 + (declared mod ((1 lsl 32) - 1025)) in
+      let declared = lo + (declared mod ((1 lsl 32) - lo)) in
       let b = Bytes.create 4 in
       Bytes.set b 0 (Char.chr ((declared lsr 24) land 0xFF));
       Bytes.set b 1 (Char.chr ((declared lsr 16) land 0xFF));
@@ -345,7 +353,7 @@ let fuzz_length_bombs =
       let s = Bytes.to_string b ^ junk in
       Gc.minor ();
       let before = Gc.allocated_bytes () in
-      match Frame.decode ~max_frame:1024 s with
+      match Frame.decode s with
       | Ok _ -> QCheck.Test.fail_reportf "accepted a %d-byte claim" declared
       | Error e ->
           let allocated = Gc.allocated_bytes () -. before in
@@ -663,16 +671,15 @@ let test_serve_malformed_json_keeps_connection () =
           | _ -> Alcotest.fail "connection did not survive junk payload"))
 
 let test_serve_oversized_frame () =
-  let config = { small_server with Server.max_frame = 512 } in
-  with_server ~config (fun addr _t ->
+  with_server ~config:small_server (fun addr _t ->
       let c = connect_exn addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
-          (* Claim 64 KiB: the reply must name the cap and the connection
-             must close (stream position is unrecoverable). *)
+          (* Claim 1 MiB + 1: the reply must name the cap and the
+             connection must close (stream position is unrecoverable). *)
           let (_ : int) =
-            Unix.write_substring (Client.fd c) "\x00\x01\x00\x00" 0 4
+            Unix.write_substring (Client.fd c) "\x00\x10\x00\x01" 0 4
           in
           (match reply_exn (Client.recv_result ~timeout:10. c) with
           | _, Protocol.Err (kind, msg) ->
