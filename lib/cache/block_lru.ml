@@ -3,7 +3,7 @@
    read from the map once, on its first load, into a list that every later
    outcome loading or evicting the block shares, so a miss allocates no
    item list of its own. *)
-module Lists = Hashtbl.Make (Int)
+module Lists = Int_table
 
 module P = struct
   type members = { width : int; items : int list  (* ascending *) }
@@ -49,7 +49,7 @@ module P = struct
       while t.occ + incoming.width > t.k do
         evicted := evict_lru_block t !evicted
       done;
-      Lru_core.touch t.recency blk;
+      Lru_core.add t.recency blk;
       t.occ <- t.occ + incoming.width;
       Policy.Miss { loaded = incoming.items; evicted = !evicted }
     end

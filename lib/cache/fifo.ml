@@ -7,7 +7,7 @@ module Strategy = struct
   let mem = Lru_core.mem
   let size = Lru_core.size
   let hit = Lru_core.mem
-  let insert = Lru_core.insert_if_absent
+  let insert = Lru_core.add
 
   let pop_victim = Lru_core.pop_lru
 end

@@ -34,6 +34,12 @@ val refresh : t -> int -> bool
 val insert_if_absent : t -> int -> unit
 (** Insert at MRU end only if absent (FIFO semantics: no move on re-touch). *)
 
+val add : t -> int -> unit
+(** Insert a key known to be absent at the MRU end, without looking it
+    up: after [refresh] or [mem] said [false], a miss costs no second
+    lookup.  The key must be absent (unchecked: a present key would be
+    listed twice). *)
+
 val remove : t -> int -> unit
 (** No-op if absent. *)
 

@@ -109,13 +109,15 @@ let test_lru_core_remove () =
    from 100 small ids and 100 spaced 2^40 apart: sequences of up to 500
    operations hold dozens of keys at once, so the store grows several
    times past its initial room for four keys and two chain heads, and
-   keys that were removed come back into freed slots. *)
-type lru_op = Touch | Refresh | Insert | Remove | Pop | Lru | Mru
+   keys that were removed come back into freed slots.  [add] requires an
+   absent key, so an [Add] of a key the model holds is skipped. *)
+type lru_op = Touch | Refresh | Insert | Add | Remove | Pop | Lru | Mru
 
 let lru_op_name = function
   | Touch -> "touch"
   | Refresh -> "refresh"
   | Insert -> "insert_if_absent"
+  | Add -> "add"
   | Remove -> "remove"
   | Pop -> "pop_lru"
   | Lru -> "lru"
@@ -141,6 +143,12 @@ let lru_core_model_step l model (op, key) =
     | Insert ->
         Lru_core.insert_if_absent l key;
         ((if List.mem key model then model else key :: model), true)
+    | Add ->
+        if List.mem key model then (model, true)
+        else begin
+          Lru_core.add l key;
+          (key :: model, true)
+        end
     | Remove ->
         Lru_core.remove l key;
         (without key, true)
@@ -161,7 +169,9 @@ let lru_core_model_step l model (op, key) =
 let lru_core_model count =
   let op =
     QCheck.Gen.(
-      pair (oneofl [ Touch; Refresh; Insert; Remove; Pop; Lru; Mru ]) (map model_key (int_range 0 199)))
+      pair
+        (oneofl [ Touch; Refresh; Insert; Add; Remove; Pop; Lru; Mru ])
+        (map model_key (int_range 0 199)))
   in
   Test_util.qcheck ~count "lru_core matches a list model"
     (QCheck.make
@@ -182,6 +192,27 @@ let fuzz_count =
   match Option.bind (Sys.getenv_opt "GC_FUZZ_COUNT") int_of_string_opt with
   | Some n when n > 0 -> n
   | _ -> 1000
+
+(* -------------------------------------------------------------- Int_table *)
+
+(* [Hashtbl] picks a bucket from the low bits of the hash, which an
+   identity hash takes from the key's low bits alone: keys spaced 2^40
+   apart would all share one bucket. *)
+let test_int_table_spread () =
+  let t = Int_table.create 16 in
+  let keys = 4_096 in
+  for i = 0 to keys - 1 do
+    Int_table.replace t (i lsl 40) i
+  done;
+  let found = ref 0 in
+  for i = 0 to keys - 1 do
+    if Int_table.find_opt t (i lsl 40) = Some i then incr found
+  done;
+  Alcotest.(check int) "every key found" keys !found;
+  let s = Int_table.stats t in
+  if s.Hashtbl.max_bucket_length > 8 then
+    Alcotest.failf "%d keys spaced 2^40 apart: longest bucket %d of %d buckets, bound 8" keys
+      s.Hashtbl.max_bucket_length s.Hashtbl.num_buckets
 
 (* -------------------------------------------------------------- Index_set *)
 
@@ -1052,6 +1083,31 @@ let test_simulator_catches_over_occupancy () =
   | exception Simulator.Model_violation _ -> ()
   | _ -> Alcotest.fail "over-occupancy accepted"
 
+(* A negative id has no byte in the dense shadow: it must stay in the
+   sparse table when the bytes grow past it, rather than be written one
+   byte before them, into the block's header. *)
+let test_simulator_negative_ids () =
+  let blocks = Block_map.uniform ~block_size:1 in
+  let d = Simulator.create ~check:false (Registry.make "lru" ~k:8 ~blocks ~seed:1) blocks in
+  ignore (Simulator.access d (-1));
+  ignore (Simulator.access d 1000);
+  Gc.full_major ();
+  ignore (Simulator.access d (-1));
+  let m = Simulator.metrics d in
+  Alcotest.(check (list (pair string int)))
+    "counters"
+    [
+      ("accesses", 3);
+      ("hits", 1);
+      ("misses", 2);
+      ("spatial_hits", 0);
+      ("temporal_hits", 1);
+      ("cold_misses", 2);
+      ("items_loaded", 2);
+      ("evictions", 0);
+    ]
+    (Metrics.fields m)
+
 (* ------------------------------------------------------------ determinism *)
 
 let test_randomized_policies_deterministic_per_seed () =
@@ -1129,6 +1185,8 @@ let () =
           Alcotest.test_case "removed values are not found" `Quick test_lru_core_remove;
         ] );
       ("fuzz", [ lru_core_model fuzz_count ]);
+      ( "int_table",
+        [ Alcotest.test_case "keys spaced 2^40 apart spread" `Quick test_int_table_spread ] );
       ("index_set", [ Alcotest.test_case "ops" `Quick test_index_set ]);
       ( "item_policies",
         [
@@ -1243,6 +1301,7 @@ let () =
           Alcotest.test_case "catches phantom hits" `Quick test_simulator_catches_liar;
           Alcotest.test_case "catches foreign loads" `Quick test_simulator_catches_foreign_load;
           Alcotest.test_case "catches over-occupancy" `Quick test_simulator_catches_over_occupancy;
+          Alcotest.test_case "negative ids stay sparse" `Quick test_simulator_negative_ids;
         ] );
       ( "registry",
         [
