@@ -251,10 +251,30 @@ let build_trace (w : Protocol.workload) ~seed =
   | Ok trace -> trace
   | Error msg -> raise (Reply_error (Protocol.kind_usage, msg))
 
+(* Obs_run reports a constructor that rejects its parameters (block-lru
+   with k < B, a malformed spec) as an "exception", like a crash in the
+   middle of a run.  Building the policy again, which is deterministic,
+   tells a bad request from a crash. *)
 let run_or_reply_error ?(check = false) ~k ~seed policy trace =
   match Gc_cache.Obs_run.run_policy_result ~check ~k ~seed policy trace with
   | Ok r -> r
-  | Error f -> raise (Reply_error (f.kind, f.message))
+  | Error f ->
+      (match
+         Gc_cache.Registry.make policy ~k ~blocks:trace.Gc_trace.Trace.blocks ~seed
+       with
+      | _ -> ()
+      | exception Invalid_argument message ->
+          raise (Reply_error (Protocol.kind_usage, message)));
+      raise (Reply_error (f.kind, f.message))
+
+let curve_row ~accesses k misses =
+  let m = { (Gc_cache.Metrics.create ()) with accesses; misses } in
+  Json.Obj
+    [
+      ("k", Json.Int k);
+      ("misses", Json.Int misses);
+      ("miss_rate", Json.Float (Gc_cache.Metrics.miss_rate m));
+    ]
 
 (* Runs inside the pool's task domain, under its cancel token. *)
 let execute op ~cancel:_ =
@@ -271,27 +291,25 @@ let execute op ~cancel:_ =
         ]
   | Protocol.Miss_curve c ->
       let trace = build_trace c.curve_load ~seed:c.curve_seed in
-      let rows =
-        List.map
-          (fun k ->
-            Cancel.poll ();
-            let r =
-              run_or_reply_error ~k ~seed:c.curve_seed c.curve_policy trace
-            in
-            let m = r.Gc_cache.Obs_run.metrics in
-            Json.Obj
-              [
-                ("k", Json.Int k);
-                ("misses", Json.Int m.Gc_cache.Metrics.misses);
-                ("miss_rate", Json.Float (Gc_cache.Metrics.miss_rate m));
-              ])
-          c.ks
+      (* lru and uniform-map block-lru take one stack pass for every k;
+         the rest simulate each k. *)
+      let misses =
+        match Gc_cache.Stack_curve.misses c.curve_policy ~ks:c.ks trace with
+        | Some misses -> misses
+        | None ->
+            List.map
+              (fun k ->
+                Cancel.poll ();
+                let r = run_or_reply_error ~k ~seed:c.curve_seed c.curve_policy trace in
+                r.Gc_cache.Obs_run.metrics.Gc_cache.Metrics.misses)
+              c.ks
       in
+      let accesses = Gc_trace.Trace.length trace in
       Json.Obj
         [
           ("policy", Json.String c.curve_policy);
           ("workload", Json.String c.curve_load.workload);
-          ("curve", Json.Array rows);
+          ("curve", Json.Array (List.map2 (curve_row ~accesses) c.ks misses));
         ]
   | Protocol.Health | Protocol.Stats ->
       (* Answered inline by the reader; never admitted. *)
@@ -401,7 +419,8 @@ let process t job ~wait_ns verdict =
             reply_error t conn ?id kind message;
             Sig_none
         | Pool.Failed (Invalid_argument message) ->
-            (* Parameterized policy construction rejected its arguments. *)
+            (* A workload generator rejected the request's parameters
+               (a zipf universe under 8 leaves it no items). *)
             reply_error t conn ?id Protocol.kind_usage message;
             Sig_none
         | Pool.Failed exn ->

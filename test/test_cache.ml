@@ -1005,6 +1005,123 @@ let test_set_assoc_capacity () =
   done;
   Alcotest.(check int) "occupancy" 8 (Policy.occupancy p)
 
+(* ------------------------------------------------------------ Stack_curve *)
+
+(* What the pass must answer: [None] when a k is below the policy's unit
+   (its constructor rejects it), else each k's misses from a checked
+   simulation. *)
+let simulated_curve policy ~ks trace =
+  let blocks = trace.Trace.blocks in
+  let unit = if policy = "lru" then 1 else Block_map.block_size blocks in
+  if List.exists (fun k -> k < unit) ks then None
+  else
+    let memo = Hashtbl.create 16 in
+    Some
+      (List.map
+         (fun k ->
+           match Hashtbl.find_opt memo k with
+           | Some m -> m
+           | None ->
+               let p = Registry.make policy ~k ~blocks ~seed:0 in
+               let m = (Simulator.run ~check:true p trace).Metrics.misses in
+               Hashtbl.add memo k m;
+               m)
+         ks)
+
+(* Mattson from [Stats]: item distances for lru, block distances at
+   k / B for block-lru. *)
+let stats_curve policy ~ks trace =
+  let b = Block_map.block_size trace.Trace.blocks in
+  if policy = "lru" then List.map (Stats.lru_misses_at (Stats.stack_distances trace)) ks
+  else
+    let h = Stats.block_stack_distances trace in
+    List.map (fun k -> Stats.lru_misses_at h (k / b)) ks
+
+let show_curve = function
+  | None -> "None"
+  | Some l -> "Some [" ^ String.concat "; " (List.map string_of_int l) ^ "]"
+
+let check_curve what policy ~ks trace =
+  let got = Stack_curve.misses policy ~ks trace in
+  let want = simulated_curve policy ~ks trace in
+  Alcotest.(check string) (what ^ ": pass = simulation") (show_curve want) (show_curve got);
+  match got with
+  | Some l when Block_map.is_uniform trace.Trace.blocks ->
+      Alcotest.(check (list int)) (what ^ ": pass = Stats") (stats_curve policy ~ks trace) l
+  | _ -> ()
+
+(* The ks the pass must get right at block size [b] on a trace of [d]
+   distinct items. *)
+let curve_ks ~b ~d =
+  [
+    ("1", [ 1 ]);
+    ("B-1", [ b - 1 ]);
+    ("B, B+1, 2B-1", [ b; b + 1; (2 * b) - 1 ]);
+    ("above the distinct items", [ b * (d + 1) ]);
+    ("repeated", [ 4 * b; 16 * b; 4 * b ]);
+    ("descending", [ 64 * b; 16 * b; 4 * b; b ]);
+    ("64 points", List.init 64 (fun i -> b + (i * 2 * d / 63)));
+  ]
+
+let test_stack_curve_suite () =
+  List.iter
+    (fun b ->
+      List.iter
+        (fun (e : Workload_suite.entry) ->
+          let d = Trace.distinct_items e.trace in
+          List.iter
+            (fun policy ->
+              List.iter
+                (fun (what, ks) ->
+                  check_curve
+                    (Printf.sprintf "%s B=%d %s ks %s" e.name b policy what)
+                    policy ~ks e.trace)
+                (curve_ks ~b ~d))
+            [ "lru"; "block-lru" ])
+        (Workload_suite.standard ~n:2000 ~block_size:b ()))
+    [ 1; 16 ]
+
+let qcheck_stack_curve_matches_simulation =
+  Test_util.qcheck ~count:300 "pass matches simulation on random traces"
+    QCheck.(
+      pair
+        (Test_util.small_trace_arbitrary ~max_universe:40 ~max_len:200 ())
+        (list_of_size Gen.(int_range 1 8) (int_range 1 48)))
+    (fun ((bs, reqs), ks) ->
+      let trace = Test_util.trace_of (bs, reqs) in
+      List.for_all
+        (fun policy -> Stack_curve.misses policy ~ks trace = simulated_curve policy ~ks trace)
+        [ "lru"; "block-lru" ])
+
+let test_stack_curve_declines () =
+  let trace = Test_util.trace_of (4, Array.init 300 (fun i -> (i * 7) mod 50)) in
+  let none what policy ~ks trace =
+    Alcotest.(check string) what "None" (show_curve (Stack_curve.misses policy ~ks trace))
+  in
+  List.iter (fun p -> none p p ~ks:[ 8 ] trace) [ "fifo"; "iblp"; "lru:2"; "gcm" ];
+  none "lru k = 0" "lru" ~ks:[ 4; 0 ] trace;
+  none "block-lru k < B" "block-lru" ~ks:[ 8; 3 ] trace;
+  none "256 capacities" "lru" ~ks:(List.init 256 (fun i -> i + 1)) trace;
+  check_curve "255 capacities" "lru" ~ks:(List.init 255 (fun i -> i + 1)) trace;
+  let ragged = Trace.make (Block_map.of_blocks [ [| 0; 1; 2 |]; [| 3 |] ]) [| 0; 3; 1; 5; 0 |] in
+  none "ragged map" "block-lru" ~ks:[ 3 ] ragged;
+  check_curve "lru on a ragged map" "lru" ~ks:[ 1; 2 ] ragged;
+  let sparse n top = Test_util.trace_of (1, Array.init n (fun i -> if i = 0 then top else i)) in
+  none "id past 16 x length" "lru" ~ks:[ 2 ] (sparse 5000 80_000);
+  check_curve "id below 16 x length" "lru" ~ks:[ 2 ] (sparse 5000 79_999);
+  check_curve "id below the 65536 floor" "lru" ~ks:[ 2 ] (sparse 10 65_535);
+  none "id at the 65536 floor" "lru" ~ks:[ 2 ] (sparse 10 65_536);
+  Alcotest.(check string) "no ks" "Some []" (show_curve (Stack_curve.misses "lru" ~ks:[] trace));
+  check_curve "empty trace" "block-lru" ~ks:[ 4; 8 ] (Test_util.trace_of (4, [||]))
+
+let test_stack_curve_cancelled () =
+  let trace = Test_util.trace_of (16, Array.init 10_000 (fun i -> i mod 700)) in
+  let tok = Gc_exec.Cancel.create () in
+  Gc_exec.Cancel.request tok ~reason:"test";
+  match Gc_exec.Cancel.with_current tok (fun () -> Stack_curve.misses "block-lru" ~ks:[ 64 ] trace) with
+  | exception Gc_exec.Cancel.Cancelled _ -> ()
+  | r -> Alcotest.failf "cancelled pass returned %s" (show_curve r)
+
 (* ----------------------------------------------- simulator sanity sweep *)
 
 let all_policy_names =
@@ -1294,6 +1411,13 @@ let () =
           test_set_assoc_single_set_is_lru;
           Alcotest.test_case "conflict misses" `Quick test_set_assoc_conflict_misses;
           Alcotest.test_case "capacity" `Quick test_set_assoc_capacity;
+        ] );
+      ( "stack_curve",
+        [
+          Alcotest.test_case "suite traces at B = 1 and 16" `Quick test_stack_curve_suite;
+          qcheck_stack_curve_matches_simulation;
+          Alcotest.test_case "declines what it cannot answer" `Quick test_stack_curve_declines;
+          Alcotest.test_case "cancelled token stops it" `Quick test_stack_curve_cancelled;
         ] );
       ( "simulator",
         [

@@ -86,8 +86,8 @@ let send_exn c json =
 
 (* ------------------------------------------------------- request builders *)
 
-let load ?(workload = "zipf") ?(n = 5000) () =
-  { Protocol.workload; n; universe = 4096; block_size = 16 }
+let load ?(workload = "zipf") ?(n = 5000) ?(block_size = 16) () =
+  { Protocol.workload; n; universe = 4096; block_size }
 
 let sim_req ?id ?budget_ms ?(policy = "lru") ?(k = 256) ?load:(l = load ())
     ?(check = false) () =
@@ -98,13 +98,13 @@ let sim_req ?id ?budget_ms ?(policy = "lru") ?(k = 256) ?load:(l = load ())
       budget_ms;
     }
 
-let curve_req ?id ?budget_ms ?(policy = "lru") ?(ks = [ 64; 256 ]) () =
+let curve_req ?id ?budget_ms ?(policy = "lru") ?(ks = [ 64; 256 ]) ?load:(l = load ()) () =
   Protocol.request_to_json
     {
       Protocol.id;
       op =
         Protocol.Miss_curve
-          { Protocol.curve_policy = policy; ks; curve_seed = 7; curve_load = load () };
+          { Protocol.curve_policy = policy; ks; curve_seed = 7; curve_load = l };
       budget_ms;
     }
 
@@ -549,6 +549,95 @@ let test_serve_happy_path () =
       match field "curve" curve with
       | Some (Json.Array [ _; _ ]) -> ()
       | _ -> Alcotest.failf "unexpected curve %s" (Json.to_string curve))
+
+(* The reply the simulated path gives a miss-curve request: one unaudited
+   Obs_run per k, or the failure of the first k that fails. *)
+let simulated_curve ~policy ~ks (l : Protocol.workload) =
+  let trace =
+    match
+      Gc_trace.Workload_suite.build ~seed:7 ~n:l.n ~universe:l.universe
+        ~block_size:l.block_size l.workload
+    with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  let rec rows acc = function
+    | [] ->
+        Ok
+          (Json.Obj
+             [
+               ("policy", Json.String policy);
+               ("workload", Json.String l.workload);
+               ("curve", Json.Array (List.rev acc));
+             ])
+    | k :: rest -> (
+        match Gc_cache.Obs_run.run_policy_result ~check:false ~k ~seed:7 policy trace with
+        | Ok r ->
+            let m = r.Gc_cache.Obs_run.metrics in
+            rows
+              (Json.Obj
+                 [
+                   ("k", Json.Int k);
+                   ("misses", Json.Int m.Gc_cache.Metrics.misses);
+                   ("miss_rate", Json.Float (Gc_cache.Metrics.miss_rate m));
+                 ]
+              :: acc)
+              rest
+        | Error f -> Error f)
+  in
+  rows [] ks
+
+let test_serve_curves_match_simulation () =
+  with_server ~config:small_server (fun addr _t ->
+      let request req = reply_exn (Client.request_result addr req) in
+      List.iter
+        (fun (policy, ks, l) ->
+          let what =
+            Printf.sprintf "%s B=%d ks %s" policy l.Protocol.block_size
+              (String.concat "," (List.map string_of_int ks))
+          in
+          match (simulated_curve ~policy ~ks l, request (curve_req ~policy ~ks ~load:l ())) with
+          | Ok want, (_, Protocol.Ok_result got) ->
+              Alcotest.(check string) what (Json.to_string want) (Json.to_string got)
+          | _, (_, Protocol.Err (kind, msg)) -> Alcotest.failf "%s: %s reply: %s" what kind msg
+          | Error f, _ -> Alcotest.failf "%s: simulated path failed: %s" what f.message)
+        [
+          ("lru", [ 1; 15; 16; 17; 31; 256; 5000; 256; 64 ], load ());
+          ("lru", List.init 64 (fun i -> 1 + (i * 67)), load ());
+          ("lru", [ 1; 2; 64; 4097 ], load ~block_size:1 ());
+          ("block-lru", [ 16; 17; 31; 4096; 70_000; 256; 16 ], load ());
+          ("block-lru", [ 1; 2; 64; 5000 ], load ~block_size:1 ());
+          ("block-lru", [ 256; 1024; 4096 ], load ~workload:"spatial-mix" ());
+          ("fifo", [ 16; 64; 256 ], load ());
+          ("iblp", [ 32; 256 ], load ());
+        ];
+      (* A k the constructor rejects is a usage error, on the curve path
+         and on sim alike, with the constructor's own message. *)
+      let rejected =
+        match simulated_curve ~policy:"block-lru" ~ks:[ 64; 8 ] (load ()) with
+        | Error f -> f.Gc_cache.Obs_run.message
+        | Ok _ -> Alcotest.fail "block-lru built with k < B"
+      in
+      List.iter
+        (fun (what, req) ->
+          match request req with
+          | _, Protocol.Err (kind, msg) ->
+              Alcotest.(check string) (what ^ " kind") Protocol.kind_usage kind;
+              Alcotest.(check string)
+                (what ^ " message is the constructor's")
+                rejected
+                (Printexc.to_string (Invalid_argument msg))
+          | _ -> Alcotest.failf "%s: block-lru with k < B answered ok" what)
+        [
+          ("miss-curve ks 64,8", curve_req ~policy:"block-lru" ~ks:[ 64; 8 ] ());
+          ("miss-curve ks 8", curve_req ~policy:"block-lru" ~ks:[ 8 ] ());
+          ("sim k 8", sim_req ~policy:"block-lru" ~k:8 ());
+        ];
+      (* A policy that crashes mid-run is still an exception. *)
+      match request (curve_req ~policy:"broken:crash@10" ~ks:[ 64 ] ()) with
+      | _, Protocol.Err (kind, _) ->
+          Alcotest.(check string) "crash kind" Protocol.kind_exception kind
+      | _ -> Alcotest.fail "broken:crash answered ok")
 
 (* Two distinct free loopback ports: both are held while the kernel picks
    them, then released for the servers under test. *)
@@ -1017,6 +1106,65 @@ let test_serve_trace_reconciles_latency () =
       "spans sum to %.0fus, leaving %.0fus of the %.0fus latency unexplained"
       sum_us (latency -. sum_us) latency
 
+(* A curve the stack pass answers runs in one run_policy span with no
+   sim.chunk under it, inside the pool attempt; a simulated curve runs
+   one per k, each with its chunks. *)
+let test_serve_curve_spans () =
+  let trace_path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "gcserve-curve-trace-%d.json" (Unix.getpid ()))
+  in
+  with_server
+    ~config:{ small_server with Server.trace = Some trace_path }
+    (fun addr _t ->
+      List.iter
+        (fun (id, policy) ->
+          ignore
+            (result_exn
+               (Client.request_result addr
+                  (curve_req ~id:(Json.Int id) ~policy ~ks:[ 64; 256; 1024 ] ()))))
+        [ (1, "lru"); (2, "fifo") ]);
+  let trace = Test_util.parse_json_file trace_path in
+  Sys.remove trace_path;
+  let events =
+    match field "traceEvents" trace with
+    | Some (Json.Array evs) -> evs
+    | _ -> Alcotest.fail "trace file has no traceEvents array"
+  in
+  let time name ev =
+    match field name ev with
+    | Some (Json.Float t) -> t
+    | Some (Json.Int t) -> float_of_int t
+    | _ -> Alcotest.failf "trace event without a %s" name
+  in
+  let inside outer ev =
+    time "ts" outer -. 0.01 <= time "ts" ev
+    && time "ts" ev +. time "dur" ev <= time "ts" outer +. time "dur" outer +. 0.01
+  in
+  let named name = List.filter (fun ev -> string_field "name" ev = name) events in
+  let execute id =
+    match
+      List.filter
+        (fun ev ->
+          match field "args" ev with
+          | Some args -> field "id" args = Some (Json.String (string_of_int id))
+          | None -> false)
+        (named "execute")
+    with
+    | [ ev ] -> ev
+    | _ -> Alcotest.failf "no single execute span for request %d" id
+  in
+  let under id name = List.filter (inside (execute id)) (named name) in
+  (match under 1 "run_policy" with
+  | [ run ] ->
+      Alcotest.(check bool) "the pass runs inside a pool attempt" true
+        (List.exists (fun att -> inside att run) (under 1 "pool.attempt"))
+  | runs -> Alcotest.failf "lru curve: %d run_policy spans, want 1" (List.length runs));
+  Alcotest.(check int) "no sim.chunk under the pass" 0 (List.length (under 1 "sim.chunk"));
+  Alcotest.(check int) "fifo simulates each k" 3 (List.length (under 2 "run_policy"));
+  Alcotest.(check bool) "with its chunks" true (under 2 "sim.chunk" <> [])
+
 (* ------------------------------------------------------------- e2e soak *)
 
 let gcserved = "../bin/gcserved.exe"
@@ -1222,6 +1370,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "happy path" `Quick test_serve_happy_path;
+          Alcotest.test_case "curves match the simulated path" `Quick
+            test_serve_curves_match_simulation;
           Alcotest.test_case "tcp listener and failed creates" `Quick
             test_serve_tcp_listener;
           Alcotest.test_case "pipelined ids" `Quick test_serve_pipelined_ids;
@@ -1242,6 +1392,7 @@ let () =
           Alcotest.test_case "graceful drain" `Quick test_serve_graceful_drain;
           Alcotest.test_case "trace reconciles with latency" `Quick
             test_serve_trace_reconciles_latency;
+          Alcotest.test_case "curve spans follow the path taken" `Quick test_serve_curve_spans;
         ] );
       ( "soak",
         [
